@@ -67,13 +67,13 @@ func listFiles(t *testing.T, root string) map[string][]byte {
 
 // TestGoldenPanels is the end-to-end determinism pin: the full riskbench
 // pipeline — trace synthesis, QoS attachment, simulation with and without
-// fault injection (plain and federated), risk analysis, and every emitted
-// panel format — must reproduce the committed bytes exactly. Regenerate
-// deliberately with
+// fault injection (plain and federated), the replication reduce, risk
+// analysis, and every emitted panel format — must reproduce the committed
+// bytes exactly. Regenerate deliberately with
 //
 //	go test ./cmd/riskbench -run TestGoldenPanels -update
 func TestGoldenPanels(t *testing.T) {
-	for _, mode := range []string{"none", "high", "federated"} {
+	for _, mode := range []string{"none", "high", "federated", "bid"} {
 		t.Run(mode, func(t *testing.T) {
 			out := t.TempDir()
 			opts := goldenOptions(mode, out)
@@ -82,6 +82,16 @@ func TestGoldenPanels(t *testing.T) {
 				// heterogeneous 4-cluster preset under high faults.
 				opts = goldenOptions("high", out)
 				opts.federation = "hetero4"
+			}
+			if mode == "bid" {
+				// The bid-based model under Set B's inaccurate estimates and
+				// high faults, averaged over two replications: pins the
+				// bid-only policies and the order-fixed replication reduce.
+				opts = goldenOptions("high", out)
+				opts.model = "bid"
+				opts.set = "B"
+				opts.reps = 2
+				opts.policies = "FCFS-BF,LibraRiskD,FirstReward"
 			}
 			if err := run(opts); err != nil {
 				t.Fatal(err)
