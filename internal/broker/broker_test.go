@@ -105,15 +105,41 @@ func TestFederationHelpers(t *testing.T) {
 	}
 }
 
+// ablationSpecs are the policy constructors only the ablation benches use,
+// each tuned variant at one non-default point. They reach the broker
+// through experiment.RunCell like the Table V policies do, so the
+// single-cluster battery covers them too — under both models, as an
+// ablation may run either.
+func ablationSpecs() []scheduler.Spec {
+	both := []economy.Model{economy.Commodity, economy.BidBased}
+	return []scheduler.Spec{
+		{Name: "FCFS-conservative", Models: both, New: scheduler.NewFCFSConservative},
+		{Name: "FCFS-BF/noAC", Models: both, New: scheduler.NewFCFSNoAC},
+		{Name: "EDF-BF/noAC", Models: both, New: scheduler.NewEDFNoAC},
+		{Name: "QoPS", Models: both, New: scheduler.NewQoPS},
+		{Name: "LibraT", Models: both, New: scheduler.NewLibraTerminate},
+		{Name: "FirstReward/bounded", Models: both, New: scheduler.NewFirstRewardBounded},
+		{Name: "Libra+$/beta=1", Models: both, New: func(ctx *scheduler.Context) scheduler.Policy {
+			return scheduler.NewLibraDollarTuned(ctx, economy.DefaultAlpha, 1)
+		}},
+		{Name: "FirstReward/threshold=100", Models: both, New: func(ctx *scheduler.Context) scheduler.Policy {
+			return scheduler.NewFirstRewardTuned(ctx, 1, 0.01, 100)
+		}},
+	}
+}
+
 // The degenerate case of the whole design: a 1-cluster neutral federation
 // must reproduce scheduler.Run bit for bit, for every Table V policy under
-// every model, with and without faults.
+// every model and every ablation-only policy, across the full fault axis.
+// Every experiment suite simulation runs through this 1-cluster spelling,
+// so this battery (with the riskbench goldens) is the reference that the
+// broker path is the plain simulation.
 func TestSingleClusterMatchesSchedulerRun(t *testing.T) {
 	jobs := brokerWorkload(t, 120, 17)
 	horizon := faults.JobsHorizon(jobs)
 	fed := Federation{Clusters: []ClusterSpec{{Name: "solo", Nodes: 128}}}
-	for _, intensity := range []faults.Intensity{faults.None, faults.High} {
-		for _, spec := range scheduler.Specs() {
+	for _, intensity := range []faults.Intensity{faults.None, faults.Low, faults.High} {
+		for _, spec := range append(scheduler.Specs(), ablationSpecs()...) {
 			for _, m := range spec.Models {
 				cfg := scheduler.RunConfig{Nodes: 128, Model: m, BasePrice: economy.DefaultBasePrice}
 				var fcfgs []*faults.Config
@@ -140,11 +166,6 @@ func TestSingleClusterMatchesSchedulerRun(t *testing.T) {
 				}
 				if res.Clusters[0].Routed != len(jobs) {
 					t.Errorf("%s/%s/%s: routed %d of %d jobs", spec.Name, m, intensity, res.Clusters[0].Routed, len(jobs))
-				}
-				for _, r := range res.Routes {
-					if r.Cluster != 0 {
-						t.Fatalf("%s: job %d routed to cluster %d in a 1-cluster federation", spec.Name, r.JobID, r.Cluster)
-					}
 				}
 				if res.RoutingDigest == "" {
 					t.Error("empty routing digest")
@@ -201,9 +222,6 @@ func TestRoutingSpreadsByAvailability(t *testing.T) {
 	res := b.Finalize()
 	if res.Clusters[0].Routed != 1 || res.Clusters[1].Routed != 1 {
 		t.Errorf("routed %d/%d, want 1/1", res.Clusters[0].Routed, res.Clusters[1].Routed)
-	}
-	if got := len(res.Routes); got != 2 {
-		t.Errorf("%d routes recorded, want 2", got)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestFederationPropertyBattery(t *testing.T) {
 				t.Fatalf("seed %d/%s: %v", seed, intensity, err)
 			}
 			assertConservation(t, res, len(jobs))
-			assertRoutesFit(t, fed, jobs, res)
+			assertRoutesFit(t, fed, jobs, spec.New, cfg, res)
 
 			again, err := Run(workload.CloneAll(jobs), fed, spec.New, cfg)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestFederationPropertyBatteryAllPolicies(t *testing.T) {
 					t.Fatalf("%s/%s/%s: %v", spec.Name, m, intensity, err)
 				}
 				assertConservation(t, res, len(jobs))
-				assertRoutesFit(t, fed, jobs, res)
+				assertRoutesFit(t, fed, jobs, spec.New, cfg, res)
 			}
 		}
 	}
@@ -146,31 +146,42 @@ func assertConservation(t *testing.T, res *Result, jobs int) {
 	if f.TotalBudget != budget {
 		t.Errorf("budget conservation: federation budget %v != cluster sum %v", f.TotalBudget, budget)
 	}
-	if len(res.Routes) != jobs {
-		t.Errorf("%d routes for %d jobs", len(res.Routes), jobs)
-	}
 }
 
-// assertRoutesFit checks no job was placed on a cluster it cannot
-// statically fit.
-func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, res *Result) {
+// assertRoutesFit replays the run one Broker.Submit at a time and checks
+// no job was placed on a cluster it cannot statically fit. The replay must
+// reproduce the batch run — same per-cluster routed counts, routing
+// digest, and federation report — so the cluster indices it observes are
+// the placements of res.
+func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, factory scheduler.Factory, cfg RunConfig, res *Result) {
 	t.Helper()
-	byID := make(map[int]*workload.Job, len(jobs))
-	for _, j := range jobs {
-		byID[j.ID] = j
+	b, err := New(fed, factory, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range res.Routes {
-		j := byID[r.JobID]
-		if j == nil {
-			t.Fatalf("route for unknown job %d", r.JobID)
+	routed := make([]int, len(fed.Clusters))
+	for _, j := range workload.CloneAll(jobs) {
+		_, ci, err := b.Submit(j)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Cluster < 0 || r.Cluster >= len(fed.Clusters) {
-			t.Fatalf("job %d routed to out-of-range cluster %d", r.JobID, r.Cluster)
+		if ci < 0 || ci >= len(fed.Clusters) {
+			t.Fatalf("job %d routed to out-of-range cluster %d", j.ID, ci)
 		}
-		if j.Procs > fed.Clusters[r.Cluster].Nodes {
+		if j.Procs > fed.Clusters[ci].Nodes {
 			t.Errorf("job %d (width %d) routed to cluster %s (%d nodes)",
-				j.ID, j.Procs, fed.Clusters[r.Cluster].Name, fed.Clusters[r.Cluster].Nodes)
+				j.ID, j.Procs, fed.Clusters[ci].Name, fed.Clusters[ci].Nodes)
 		}
+		routed[ci]++
+	}
+	replay := b.Finalize()
+	for ci, c := range res.Clusters {
+		if routed[ci] != c.Routed {
+			t.Errorf("cluster %s: replay routed %d jobs, batch run %d", c.Name, routed[ci], c.Routed)
+		}
+	}
+	if replay.RoutingDigest != res.RoutingDigest || replay.Federation != res.Federation {
+		t.Errorf("Submit replay diverged from the batch run: digest %s vs %s", replay.RoutingDigest, res.RoutingDigest)
 	}
 }
 
