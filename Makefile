@@ -20,10 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # Fast race pass over the two packages with worker-pool concurrency
-# (the suite runner and its observer plumbing) — the inner loop of verify
-# when the full -race run is too slow for the edit cycle.
+# (the suite runner and its observer plumbing) plus the meta-broker every
+# suite replication runs through — the inner loop of verify when the full
+# -race run is too slow for the edit cycle.
 race-hot:
-	$(GO) test -race ./internal/experiment ./internal/obs
+	$(GO) test -race ./internal/experiment ./internal/obs ./internal/broker
 
 # Fail if any tracked Go file is not gofmt-clean. Fixtures under testdata
 # are real Go source and are held to the same standard.

@@ -18,6 +18,8 @@
 // A 1-cluster federation with neutral speed and price degenerates to the
 // plain single-cluster batch path bit for bit: the broker submits through
 // the identical quote-free scheduler.Session machinery, and the federation
-// report of a single cluster is that cluster's report verbatim. See
+// report of a single cluster is that cluster's report verbatim. The
+// experiment suite relies on this: every suite simulation runs through
+// Run, a plain suite over a 1-cluster federation of its machine. See
 // docs/architecture.md, "Federation".
 package broker

@@ -115,7 +115,7 @@ func (f Federation) TotalNodes() int {
 // under the given fault intensity: one cluster, same size, neutral speed
 // and price, and no private fault scenario. The experiment suite uses this
 // to keep a degenerate federation's cell keys, journals, and panels
-// byte-identical to today's non-federated path.
+// byte-identical to the non-federated run.
 func (f Federation) EquivalentToSingle(nodes int, intensity faults.Intensity) bool {
 	if len(f.Clusters) != 1 {
 		return false

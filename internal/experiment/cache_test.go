@@ -14,7 +14,7 @@ import (
 func TestTraceCacheMemoizesPerSeed(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 50
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg)
 
 	a, err := cache.get(cfg.TraceSeed + 1000)
 	if err != nil {
@@ -44,24 +44,27 @@ func TestTraceCacheMemoizesPerSeed(t *testing.T) {
 	}
 }
 
-// TestTraceCachePreSeedsBase verifies Run's replication-0 trace is served
-// from the cache rather than regenerated.
-func TestTraceCachePreSeedsBase(t *testing.T) {
+// TestTraceCacheServesExternalTrace pins the cache as the one trace
+// source: with cfg.Trace set it hands out that exact slice for every
+// replication seed instead of generating.
+func TestTraceCacheServesExternalTrace(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
-	cfg.Jobs = 20
 	synth := workload.DefaultSynthConfig()
-	synth.Jobs = cfg.Jobs
-	base, err := workload.Generate(synth, cfg.TraceSeed)
+	synth.Jobs = 20
+	base, err := workload.Generate(synth, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newTraceCache(cfg, base)
-	got, err := cache.get(cfg.TraceSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &base[0] {
-		t.Error("base trace was regenerated instead of served from the pre-seeded cache")
+	cfg.Trace = base
+	cache := newTraceCache(cfg)
+	for r := 0; r < 3; r++ {
+		got, err := cache.get(repSeed(cfg.TraceSeed, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(base) || &got[0] != &base[0] {
+			t.Fatalf("replication %d: cache did not hand out the external trace", r)
+		}
 	}
 }
 
@@ -71,7 +74,7 @@ func TestTraceCachePreSeedsBase(t *testing.T) {
 func TestTraceCacheConcurrentAccess(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 10
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg)
 	const workers = 8
 	got := make([][]*workload.Job, workers)
 	var wg sync.WaitGroup
@@ -139,7 +142,7 @@ func TestReplicatedSuiteUnchangedByCache(t *testing.T) {
 func TestTraceCacheConcurrentSameSeed(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 10
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg)
 	const workers = 32
 	seed := cfg.TraceSeed + 2*ReplicationSeedStride
 	start := make(chan struct{})

@@ -11,8 +11,14 @@
 //
 // The machinery: Run fans the up-to-1440-cell grid of one (model, Set)
 // panel across a worker pool, with every random draw seeded so results are
-// bit-for-bit reproducible at any worker count. Three facilities make long
-// runs manageable:
+// bit-for-bit reproducible at any worker count. There is one simulation
+// path: every replication runs through the federation meta-broker
+// (internal/broker), over [SuiteConfig.Federation] or, when that is nil,
+// the implicit one-cluster federation of the Nodes-sized machine. The
+// single-cell entry points ([RunCell], [RunCellFederated],
+// [RunCellDetailed]) hand one cell to the same worker pool and
+// replication-order reduce, so a cell reports the same bits either way.
+// Three facilities make long runs manageable:
 //
 //   - Observation. [SuiteConfig.Observer] receives obs.Reporter events —
 //     suite start, each cell's start and completion (concurrently, from

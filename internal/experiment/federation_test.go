@@ -39,12 +39,16 @@ func degenerateFederation(cfg SuiteConfig) *broker.Federation {
 	return &broker.Federation{Clusters: []broker.ClusterSpec{{Name: "only", Nodes: cfg.Nodes}}}
 }
 
-// The differential oracle: a 1-cluster neutral federation must reproduce
-// the plain single-cluster suite bit for bit — DeepEqual results and
-// byte-identical canonical journals — for every Table V policy of both
-// economic models across 10 trace seeds, fault injection included (odd
-// seeds run at high intensity, which exercises the cluster-0 sub-seed
-// identity clusterFaultSeed(s, r, 0) == repSeed(s, r)).
+// The degenerate-federation rule: spelling the single machine as an
+// explicit 1-cluster neutral federation must keep the plain suite's cell
+// keys and keep no FederationRecord — DeepEqual results (no Clusters, no
+// per-cluster grids) and byte-identical canonical journals — for every
+// Table V policy of both economic models across 10 trace seeds, fault
+// injection included (odd seeds run at high intensity, which exercises
+// the cluster-0 sub-seed identity clusterFaultSeed(s, r, 0) == repSeed(s,
+// r)). Both spellings run through the broker; that the broker's 1-cluster
+// simulation is the plain simulation is pinned by
+// broker.TestSingleClusterMatchesSchedulerRun and the riskbench goldens.
 func TestDegenerateFederationMatchesPlainRun(t *testing.T) {
 	for _, model := range []economy.Model{economy.Commodity, economy.BidBased} {
 		for seed := int64(1); seed <= 10; seed++ {

@@ -93,15 +93,17 @@ type SuiteConfig struct {
 	// of TraceSeed so the same workload can be replayed under different
 	// failure histories.
 	FaultSeed int64
-	// Federation optionally routes every cell through the federation
-	// meta-broker (internal/broker) instead of the single Nodes-sized
-	// machine: one policy instance and one fault process per cluster, jobs
-	// placed by quote-shopping. Each cluster's failure process draws at
-	// the cluster-stride sub-seed (see ClusterFaultSeedStride); a cluster
-	// with its own FaultIntensity overrides the suite's. A federation
-	// equivalent to the single-cluster run (one cluster, Nodes-sized,
-	// neutral speed/price, inherited intensity) produces byte-identical
-	// cell keys, reports, and journals to Federation == nil.
+	// Federation optionally replaces the single Nodes-sized machine with a
+	// set of clusters: one policy instance and one fault process per
+	// cluster, jobs placed by quote-shopping. Every simulation runs through
+	// the federation meta-broker (internal/broker); nil means the implicit
+	// one-cluster federation of the Nodes-sized machine. Each cluster's
+	// failure process draws at the cluster-stride sub-seed (see
+	// ClusterFaultSeedStride); a cluster with its own FaultIntensity
+	// overrides the suite's. A federation equivalent to the single-cluster
+	// run (one cluster, Nodes-sized, neutral speed/price, inherited
+	// intensity) produces byte-identical cell keys, reports, and journals
+	// to Federation == nil.
 	Federation *broker.Federation
 	// Synth optionally overrides the trace generator configuration (Jobs
 	// still wins for the job count); nil uses the SDSC SP2 calibration.
@@ -194,14 +196,35 @@ func (c SuiteConfig) CellKey(scenario string, value float64, policy string) stri
 	return obs.Key(parts...)
 }
 
-// federated reports whether cells run through the meta-broker AND differ
-// from the plain path: a nil federation or one equivalent to the single
-// Nodes-sized cluster keeps every output byte of today's non-federated
-// run. (A degenerate federation still executes through the broker — the
-// differential tests rely on that being a distinction without a
-// difference.)
+// federated reports whether the configured federation differs from the
+// single Nodes-sized machine. It is the one place the degenerate-federation
+// rule lives, and it decides exactly two things: whether the cell key
+// gains the federation's parts, and whether a FederationRecord is kept. A
+// nil or degenerate federation keeps every output byte of the plain run.
 func (c SuiteConfig) federated() bool {
 	return c.Federation != nil && !c.Federation.EquivalentToSingle(c.Nodes, c.FaultIntensity)
+}
+
+// federation returns the federation every simulation runs through: the
+// configured one, or the implicit one-cluster federation of the Nodes-sized
+// machine, which the broker simulates exactly as the plain single machine.
+func (c SuiteConfig) federation() broker.Federation {
+	if c.Federation != nil {
+		return *c.Federation
+	}
+	return broker.Federation{Clusters: []broker.ClusterSpec{{Name: "machine", Nodes: c.Nodes}}}
+}
+
+// synthConfig returns the effective synthetic-trace generator
+// configuration: the Synth override or the SDSC SP2 calibration, with Jobs
+// as the job count.
+func (c SuiteConfig) synthConfig() workload.SynthConfig {
+	s := workload.DefaultSynthConfig()
+	if c.Synth != nil {
+		s = *c.Synth
+	}
+	s.Jobs = c.Jobs
+	return s
 }
 
 // workloadFingerprint identifies the workload source. A synthetic trace
@@ -217,11 +240,7 @@ func (c SuiteConfig) workloadFingerprint() string {
 		}
 		return fmt.Sprintf("trace|%d|%d|%d", len(c.Trace), first, last)
 	}
-	s := workload.DefaultSynthConfig()
-	if c.Synth != nil {
-		s = *c.Synth
-	}
-	s.Jobs = c.Jobs
+	s := c.synthConfig()
 	return fmt.Sprintf("synth|%d|%g|%g|%g|%g|%v|%v|%g|%g|%g",
 		s.Jobs, s.MeanInterArrival, s.MeanRuntime, s.RuntimeCV, s.MaxRuntime,
 		s.Widths, s.WidthWeights,
@@ -300,15 +319,10 @@ func (r *Results) Cells() int {
 // Run executes the suite: |scenarios| × 6 values × 5 policies cells, each
 // averaged over the configured replications. The same base trace and QoS
 // seeds are used for every cell, so policies within a cell see
-// byte-identical workloads.
-//
-// Execution is a two-level fan-out: the grid is flattened into one work
-// queue of (cell, replication) units, executed by Workers goroutines.
-// Replication reports land in a per-cell slice indexed by replication
-// number and are merged by metrics.AverageReports in index order once the
-// cell's last replication completes — a deterministic, order-fixed reduce,
-// so results are bit-for-bit identical to a serial run for every worker
-// count (the canonical-journal tests pin this, faults included).
+// byte-identical workloads. Resumed cells are taken from cfg.Resume; the
+// rest run on the suite's one worker pool (see execute), so results are
+// bit-for-bit identical to a serial run for every worker count (the
+// canonical-journal tests pin this, faults included).
 func Run(cfg SuiteConfig) (*Results, error) {
 	if cfg.Jobs <= 0 && cfg.Trace == nil {
 		return nil, fmt.Errorf("experiment: non-positive job count %d", cfg.Jobs)
@@ -316,18 +330,11 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("experiment: non-positive node count %d", cfg.Nodes)
 	}
-	base := cfg.Trace
-	if base == nil {
-		synth := workload.DefaultSynthConfig()
-		if cfg.Synth != nil {
-			synth = *cfg.Synth
-		}
-		synth.Jobs = cfg.Jobs
-		var err error
-		base, err = workload.Generate(synth, cfg.TraceSeed)
-		if err != nil {
-			return nil, err
-		}
+	cache := newTraceCache(cfg)
+	// Draw the replication-0 trace up front so a bad generator config
+	// fails before the pool starts.
+	if _, err := cache.get(cfg.TraceSeed); err != nil {
+		return nil, err
 	}
 	if _, err := faults.ParseIntensity(string(cfg.FaultIntensity)); err != nil {
 		return nil, err
@@ -337,7 +344,6 @@ func Run(cfg SuiteConfig) (*Results, error) {
 			return nil, err
 		}
 	}
-	cache := newTraceCache(cfg, base)
 	specs := scheduler.ForModel(cfg.Model)
 	if len(cfg.PolicyFilter) > 0 {
 		wanted := make(map[string]bool, len(cfg.PolicyFilter))
@@ -427,22 +433,6 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	}
 	reps := cfg.replications()
 
-	// pendingCell is one cell awaiting execution: its grid coordinates,
-	// pre-validated parameters, and the reduce state — a report slot per
-	// replication, filled in any order by the workers and merged in
-	// replication order once the last slot lands.
-	type pendingCell struct {
-		si, vi, pi int
-		cell       obs.Cell
-		params     Params
-		started    atomic.Bool
-		reports    []metrics.Report
-		feds       []*obs.FederationRecord
-		remaining  int
-		wall       time.Duration
-		err        error // first replication error, by replication index
-		errRep     int
-	}
 	// Split the grid into resumed cells (their journaled report is reused
 	// verbatim) and pending cells for the worker pool.
 	var pending []*pendingCell
@@ -450,7 +440,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	total := 0
 	for si, sc := range scenarios {
 		for vi, value := range sc.Values {
-			for pi, spec := range specs {
+			for _, spec := range specs {
 				total++
 				cell := obs.Cell{
 					Key:        cfg.CellKey(sc.Name, value, spec.Name),
@@ -476,12 +466,9 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					return nil, fmt.Errorf("experiment: %s/%s[%d]/%s: %w",
 						cfg.SetName(), sc.Name, vi, spec.Name, err)
 				}
-				pending = append(pending, &pendingCell{
-					si: si, vi: vi, pi: pi, cell: cell, params: p,
-					reports:   make([]metrics.Report, reps),
-					feds:      make([]*obs.FederationRecord, reps),
-					remaining: reps, errRep: reps,
-				})
+				pc := newPendingCell(cell, p, spec, reps)
+				pc.si, pc.vi = si, vi
+				pending = append(pending, pc)
 			}
 		}
 	}
@@ -489,14 +476,76 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	suite := obs.Suite{Model: cfg.Model.String(), Set: cfg.SetName(), Cells: total, Resumed: len(resumed), Replications: reps}
 	suiteStart := time.Now() //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
 	observer.SuiteStart(suite)
-	repObserver, _ := observer.(obs.ReplicationReporter)
 	for _, rec := range resumed {
 		observer.CellDone(rec)
 	}
+	execute(cfg, cache, pending, observer)
+	executed := 0
+	for _, pc := range pending {
+		if pc.err == nil {
+			res.Scenarios[pc.si].Reports[pc.vi][pc.spec.Name] = pc.report
+			recordFederation(pc.si, pc.vi, pc.spec.Name, pc.fed)
+			executed++
+		}
+	}
+	elapsed := time.Since(suiteStart) //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
+	observer.SuiteDone(obs.Summary{Suite: suite, Executed: executed, Elapsed: elapsed})
+	// Report the failure of the earliest cell in grid order — like the
+	// reduce, independent of completion order.
+	for _, pc := range pending {
+		if pc.err != nil {
+			return nil, fmt.Errorf("experiment: %s/%s[%d]/%s (replication %d): %w",
+				cfg.SetName(), scenarios[pc.si].Name, pc.vi, pc.spec.Name, pc.errRep, pc.err)
+		}
+	}
+	return res, nil
+}
 
-	// One unit of work = one replication of one cell. Units are enqueued
-	// cell-major so a cell's replications are co-scheduled and cells
-	// complete (and journal) as early as possible.
+// pendingCell is one cell awaiting execution: its grid coordinates (Run
+// only), pre-validated parameters and policy, and the reduce state — a
+// report slot per replication, filled in any order by the workers and
+// merged in replication order once the last slot lands.
+type pendingCell struct {
+	si, vi    int
+	cell      obs.Cell
+	params    Params
+	spec      scheduler.Spec
+	started   atomic.Bool
+	reports   []metrics.Report
+	feds      []*obs.FederationRecord
+	remaining int
+	wall      time.Duration
+	err       error // first replication error, by replication index
+	errRep    int
+	// report and fed are the reduced cell, set once every replication
+	// has succeeded.
+	report metrics.Report
+	fed    *obs.FederationRecord
+}
+
+// newPendingCell returns a cell awaiting reps replications.
+func newPendingCell(cell obs.Cell, p Params, spec scheduler.Spec, reps int) *pendingCell {
+	return &pendingCell{
+		cell: cell, params: p, spec: spec,
+		reports:   make([]metrics.Report, reps),
+		feds:      make([]*obs.FederationRecord, reps),
+		remaining: reps, errRep: reps,
+	}
+}
+
+// execute runs every replication of every pending cell on one pool of
+// cfg.Workers goroutines (Workers ≤ 0 meaning GOMAXPROCS) — the single
+// fan-out behind both Run and the single-cell entry points. The unit of
+// work is one (cell, replication) simulation, enqueued cell-major so a
+// cell's replications are co-scheduled and cells complete (and journal) as
+// early as possible. When a cell's last replication lands, its reports are
+// merged by metrics.AverageReports in replication order — never completion
+// order — and observer.CellDone fires; a failed cell keeps the error of
+// its lowest replication index instead. Either way the outcome is
+// independent of the worker count.
+func execute(cfg SuiteConfig, cache *traceCache, pending []*pendingCell, observer obs.Reporter) {
+	reps := cfg.replications()
+	repObserver, _ := observer.(obs.ReplicationReporter)
 	type unit struct {
 		ci, r int
 	}
@@ -525,7 +574,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					observer.CellStart(pc.cell)
 				}
 				start := time.Now() //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
-				rep, fed, err := runReplication(cfg, cache, pc.params, specs[pc.pi], u.r)
+				rep, fed, err := runReplication(cfg, cache, pc.params, pc.spec, u.r)
 				wall := time.Since(start) //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
 				outCh <- outcome{unit: u, report: rep, fed: fed, wall: wall, err: err}
 			}
@@ -540,7 +589,6 @@ func Run(cfg SuiteConfig) (*Results, error) {
 		close(unitCh)
 	}()
 
-	executed := 0
 	for i := 0; i < units; i++ {
 		o := <-outCh
 		pc := pending[o.ci]
@@ -559,46 +607,32 @@ func Run(cfg SuiteConfig) (*Results, error) {
 				repObserver.ReplicationDone(pc.cell, o.r, reps)
 			}
 		}
-		if pc.remaining > 0 {
+		if pc.remaining > 0 || pc.err != nil {
 			continue
 		}
 		// Last replication of the cell: reduce in replication order.
-		if pc.err != nil {
-			continue
-		}
-		report := metrics.AverageReports(pc.reports)
-		fed := reduceFederationRecords(pc.feds)
-		res.Scenarios[pc.si].Reports[pc.vi][specs[pc.pi].Name] = report
-		recordFederation(pc.si, pc.vi, specs[pc.pi].Name, fed)
-		executed++
+		pc.report = metrics.AverageReports(pc.reports)
+		pc.fed = reduceFederationRecords(pc.feds)
 		observer.CellDone(obs.Record{
 			Cell:         pc.cell,
 			Replications: reps,
 			WallSeconds:  pc.wall.Seconds(),
-			Report:       report,
-			Federation:   fed,
+			Report:       pc.report,
+			Federation:   pc.fed,
 		})
 	}
-	elapsed := time.Since(suiteStart) //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
-	observer.SuiteDone(obs.Summary{Suite: suite, Executed: executed, Elapsed: elapsed})
-	// Report the failure of the earliest cell in grid order — like the
-	// reduce, independent of completion order.
-	for _, pc := range pending {
-		if pc.err != nil {
-			return nil, fmt.Errorf("experiment: %s/%s[%d]/%s (replication %d): %w",
-				cfg.SetName(), scenarios[pc.si].Name, pc.vi, specs[pc.pi].Name, pc.errRep, pc.err)
-		}
-	}
-	return res, nil
 }
 
-// traceCache memoizes generated traces by replication seed, shared across
-// every cell of a suite run. Every cell at replication r draws the same
-// trace (seed TraceSeed + ReplicationSeedStride·r), so without the cache
-// the generator runs |cells|×reps times for reps distinct traces.
-// workload.Generate is pure — same config and seed give the same jobs —
-// so handing out the cached slice is exact; callers clone before mutating
-// (runReplication always does, via workload.CloneAll).
+// traceCache is the suite's one trace source. It hands out cfg.Trace when
+// that is set (an external trace cannot be re-drawn — only the QoS and
+// fault seeds vary across its replications), and otherwise memoizes
+// generated traces by replication seed, shared across every cell of a run.
+// Every cell at replication r draws the same trace (seed TraceSeed +
+// ReplicationSeedStride·r), so without the cache the generator runs
+// |cells|×reps times for reps distinct traces. workload.Generate is pure —
+// same config and seed give the same jobs — so handing out the cached
+// slice is exact; callers clone before mutating (runReplication always
+// does, via workload.CloneAll).
 //
 // The cache is safe for concurrent use by every worker of the suite pool,
 // including concurrent replications of the same cell: the map is guarded
@@ -607,6 +641,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 // share the identical slice) while workers on different seeds generate in
 // parallel instead of serializing on the map lock.
 type traceCache struct {
+	fixed []*workload.Job
 	synth workload.SynthConfig
 	mu    sync.Mutex
 	byTag map[int64]*traceEntry
@@ -619,27 +654,19 @@ type traceEntry struct {
 	err  error
 }
 
-// newTraceCache builds the cache for cfg's synthetic generator, pre-seeding
-// the replication-0 trace that Run has already generated.
-func newTraceCache(cfg SuiteConfig, base []*workload.Job) *traceCache {
-	synth := workload.DefaultSynthConfig()
-	if cfg.Synth != nil {
-		synth = *cfg.Synth
-	}
-	synth.Jobs = cfg.Jobs
-	c := &traceCache{synth: synth, byTag: make(map[int64]*traceEntry)}
-	if cfg.Trace == nil && base != nil {
-		e := &traceEntry{jobs: base}
-		e.once.Do(func() {}) // mark generated
-		c.byTag[cfg.TraceSeed] = e
-	}
-	return c
+// newTraceCache builds the trace source for cfg.
+func newTraceCache(cfg SuiteConfig) *traceCache {
+	return &traceCache{fixed: cfg.Trace, synth: cfg.synthConfig(), byTag: make(map[int64]*traceEntry)}
 }
 
-// get returns the trace for a seed, generating it on first use. Safe for
-// concurrent use from the suite worker pool; every caller for the same
-// seed receives the identical slice.
+// get returns the trace for a seed: the fixed external trace, or the
+// synthetic trace generated on first use. Safe for concurrent use from the
+// suite worker pool; every caller for the same seed receives the identical
+// slice.
 func (c *traceCache) get(seed int64) ([]*workload.Job, error) {
+	if c.fixed != nil {
+		return c.fixed, nil
+	}
 	c.mu.Lock()
 	e, ok := c.byTag[seed]
 	if !ok {
@@ -653,65 +680,46 @@ func (c *traceCache) get(seed int64) ([]*workload.Job, error) {
 	return e.jobs, e.err
 }
 
-// runReplication executes replication r of one cell: draw the trace for
-// the replication's seed through the shared cache (or reuse a fixed
-// external trace, which cannot be re-drawn — only the QoS and fault seeds
-// vary across its replications), clone it, scale arrivals, synthesize QoS,
-// and simulate under the policy — through the federation meta-broker when
-// one is configured, on the single machine otherwise. The federation
-// record is nil unless the federation actually differs from the plain
-// path. This is the worker pool's unit of work.
+// runReplication executes replication r of one cell — the worker pool's
+// unit of work: draw the trace for the replication's seed from the cache,
+// clone it, scale arrivals, synthesize QoS, and simulate under the policy
+// through the federation meta-broker. With no federation configured the
+// broker fronts the implicit one-cluster federation of the Nodes-sized
+// machine, which drives its scheduler session exactly as a plain run. The
+// federation record is nil unless the federation actually differs from the
+// single machine.
 func runReplication(cfg SuiteConfig, cache *traceCache, p Params, spec scheduler.Spec, r int) (metrics.Report, *obs.FederationRecord, error) {
-	trace := cfg.Trace
-	if trace == nil {
-		var err error
-		trace, err = cache.get(repSeed(cfg.TraceSeed, r))
-		if err != nil {
-			return metrics.Report{}, nil, err
-		}
+	trace, err := cache.get(repSeed(cfg.TraceSeed, r))
+	if err != nil {
+		return metrics.Report{}, nil, err
 	}
 	jobs := workload.CloneAll(trace)
 	workload.ScaleArrivals(jobs, p.ArrivalFactor)
 	if err := qos.Synthesize(jobs, p.QoSConfig(repSeed(cfg.QoSSeed, r))); err != nil {
 		return metrics.Report{}, nil, err
 	}
-	if cfg.Federation != nil {
-		res, err := broker.Run(jobs, *cfg.Federation, spec.New, broker.RunConfig{
-			Model:  cfg.Model,
-			Faults: federationFaultConfigs(cfg, jobs, r),
-		})
-		if err != nil {
-			return metrics.Report{}, nil, err
-		}
-		var fedRec *obs.FederationRecord
-		if cfg.federated() {
-			fedRec = federationRecord(res)
-		}
-		return res.Federation, fedRec, nil
-	}
-	// The failure process is scaled to this replication's prepared
-	// workload (after arrival scaling), so the axis bites identically
-	// at test scale and paper scale.
-	var faultCfg *faults.Config
-	if cfg.FaultIntensity.Enabled() {
-		f := cfg.FaultIntensity.Config(repSeed(cfg.FaultSeed, r), faults.JobsHorizon(jobs))
-		faultCfg = &f
-	}
-	rep, err := scheduler.Run(jobs, spec.New, scheduler.RunConfig{
-		Nodes:     cfg.Nodes,
-		Model:     cfg.Model,
-		BasePrice: economy.DefaultBasePrice,
-		Faults:    faultCfg,
+	fed := cfg.federation()
+	res, err := broker.Run(jobs, fed, spec.New, broker.RunConfig{
+		Model:  cfg.Model,
+		Faults: federationFaultConfigs(cfg, fed, jobs, r),
 	})
-	return rep, nil, err
+	if err != nil {
+		return metrics.Report{}, nil, err
+	}
+	var fedRec *obs.FederationRecord
+	if cfg.federated() {
+		fedRec = federationRecord(res)
+	}
+	return res.Federation, fedRec, nil
 }
 
 // federationFaultConfigs derives one failure process per cluster for
 // replication r: each cluster's effective intensity (its own, or the
 // suite's when unset) expanded at the cluster-stride sub-seed over the
-// replication's workload horizon. Nil when no cluster injects faults.
-func federationFaultConfigs(cfg SuiteConfig, jobs []*workload.Job, r int) []*faults.Config {
-	fed := *cfg.Federation
+// replication's workload horizon. The failure process is scaled to the
+// prepared workload (after arrival scaling), so the axis bites identically
+// at test scale and paper scale. Nil when no cluster injects faults.
+func federationFaultConfigs(cfg SuiteConfig, fed broker.Federation, jobs []*workload.Job, r int) []*faults.Config {
 	var out []*faults.Config
 	horizon := 0.0
 	for ci, cs := range fed.Clusters {
@@ -724,8 +732,6 @@ func federationFaultConfigs(cfg SuiteConfig, jobs []*workload.Job, r int) []*fau
 		}
 		if out == nil {
 			out = make([]*faults.Config, len(fed.Clusters))
-			// The failure process is scaled to the replication's prepared
-			// workload, exactly as on the plain path.
 			horizon = faults.JobsHorizon(jobs)
 		}
 		f := intensity.Config(clusterFaultSeed(cfg.FaultSeed, r, ci), horizon)
@@ -784,43 +790,6 @@ func reduceFederationRecords(feds []*obs.FederationRecord) *obs.FederationRecord
 	return out
 }
 
-// runCell runs every replication of one cell and reduces them in
-// replication order — the same order-fixed reduce the suite pool applies,
-// so the two paths are bit-for-bit interchangeable. Replications run on
-// min(Workers, reps) goroutines (Workers ≤ 0 meaning GOMAXPROCS), which
-// is what lets a single paper-scale cell with -reps N use N cores.
-func runCell(cfg SuiteConfig, cache *traceCache, p Params, spec scheduler.Spec) (metrics.Report, *obs.FederationRecord, error) {
-	reps := cfg.replications()
-	reports := make([]metrics.Report, reps)
-	feds := make([]*obs.FederationRecord, reps)
-	errs := make([]error, reps)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for r := 0; r < reps; r++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer wg.Done()
-			reports[r], feds[r], errs[r] = runReplication(cfg, cache, p, spec, r)
-			<-sem
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return metrics.Report{}, nil, fmt.Errorf("replication %d: %w", r, err)
-		}
-	}
-	return metrics.AverageReports(reports), reduceFederationRecords(feds), nil
-}
-
 // RunCellDetailed is RunCell plus the per-job outcomes, for drill-down
 // dumps (simrun -dump). Replications are forced serial so the captured
 // audit trail is deterministically the final replication's; the averaged
@@ -842,8 +811,9 @@ func RunCellDetailed(cfg SuiteConfig, params Params, spec scheduler.Spec) (metri
 }
 
 // RunCell is the exported single-cell entry point used by cmd/simrun and
-// the examples. Replications (if configured) run in parallel on
-// cfg.Workers goroutines with the same order-fixed reduce as Run.
+// the examples. It runs the cell's replications on the same worker pool
+// and order-fixed reduce as Run (cfg.Workers goroutines), so a cell's
+// report is bit-for-bit the one the suite computes for it.
 func RunCell(cfg SuiteConfig, params Params, spec scheduler.Spec) (metrics.Report, error) {
 	rep, _, err := RunCellFederated(cfg, params, spec)
 	return rep, err
@@ -857,23 +827,10 @@ func RunCellFederated(cfg SuiteConfig, params Params, spec scheduler.Spec) (metr
 	if err := params.Validate(); err != nil {
 		return metrics.Report{}, nil, err
 	}
-	if cfg.Federation != nil {
-		if err := cfg.Federation.Validate(); err != nil {
-			return metrics.Report{}, nil, err
-		}
+	pc := newPendingCell(obs.Cell{}, params, spec, cfg.replications())
+	execute(cfg, newTraceCache(cfg), []*pendingCell{pc}, obs.Nop{})
+	if pc.err != nil {
+		return metrics.Report{}, nil, fmt.Errorf("replication %d: %w", pc.errRep, pc.err)
 	}
-	base := cfg.Trace
-	if base == nil {
-		synth := workload.DefaultSynthConfig()
-		if cfg.Synth != nil {
-			synth = *cfg.Synth
-		}
-		synth.Jobs = cfg.Jobs
-		var err error
-		base, err = workload.Generate(synth, cfg.TraceSeed)
-		if err != nil {
-			return metrics.Report{}, nil, err
-		}
-	}
-	return runCell(cfg, newTraceCache(cfg, base), params, spec)
+	return pc.report, pc.fed, nil
 }
