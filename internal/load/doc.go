@@ -15,7 +15,8 @@
 //
 // Latencies land in lock-free log-bucketed histograms (~25% bucket
 // growth), reported as p50/p99/p999/max per operation class. Quantiles
-// are bucket upper bounds — conservative, never flattering. SLO gates
+// are bucket upper bounds clamped to the exact max — conservative, never
+// flattering, and never above the slowest observation. SLO gates
 // compare those quantiles and the error rate against thresholds; riskload
 // exits nonzero on violation, with the same escape-hatch convention as
 // the bench gate (SLO_GATE=off).

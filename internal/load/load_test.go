@@ -72,6 +72,15 @@ func TestHistogramQuantileBounds(t *testing.T) {
 			t.Fatalf("bucket %d growth ratio %.4f, want ~%.2f", i, ratio, bucketGrowth)
 		}
 	}
+	// No quantile exceeds the exact max: a lone observation inside a
+	// bucket answers with itself, not the bucket's upper bound.
+	var one Histogram
+	one.Record(9254 * time.Microsecond)
+	for _, q := range []float64{0.5, 0.99, 0.999, 1} {
+		if got := one.Quantile(q); got != one.Max() {
+			t.Errorf("single-observation p%v = %v, want the exact max %v", q*100, got, one.Max())
+		}
+	}
 	// Extreme values stay in range: an observation beyond the bucket
 	// geometry lands in the catch-all, which answers with the exact max.
 	h.Record(0)

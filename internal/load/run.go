@@ -67,7 +67,8 @@ func (c Config) withDefaults() Config {
 }
 
 // OpStats summarizes one operation class's latency distribution in
-// milliseconds (quantiles are log-bucket upper bounds; max is exact).
+// milliseconds (quantiles are log-bucket upper bounds clamped to the
+// exact max).
 type OpStats struct {
 	Count     int64   `json:"count"`
 	P50Millis float64 `json:"p50_ms"`
