@@ -80,19 +80,19 @@ cover-check:
 		END { exit bad }'
 
 # One benchmark iteration per table/figure/ablation: fast sanity pass,
-# then the in-process throughput probes (kernel, cluster, suite) as JSON
-# on stdout via cmd/benchjson.
+# then the full capture (per-layer benches at Go's default benchtime,
+# bench_test.go at one iteration) as JSON on stdout via cmd/benchjson.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x ./...
-	$(GO) run ./cmd/benchjson -config short
+	$(GO) run ./cmd/benchjson
 
-# Capture a full baseline (probes + bench_test.go suite) to OUT, and diff
-# two captures against the committed trajectory. See EXPERIMENTS.md.
+# Capture every benchmark to OUT, and diff two captures against the
+# committed trajectory. See EXPERIMENTS.md.
 OUT ?= BENCH_local.json
 bench-capture:
-	$(GO) run ./cmd/benchjson -config short -suite -out $(OUT)
+	$(GO) run ./cmd/benchjson -out $(OUT)
 
-OLD ?= BENCH_PR10.json
+OLD ?= BENCH_PR14.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

@@ -138,19 +138,7 @@ func writeDiff(w io.Writer, oldPath, newPath string, old, cur Capture, nsThresho
 		fmt.Fprintf(w, "%-52s %14.0f %14.1f %8.1f%% %8.1f%%%s\n",
 			name, n.NsPerOp, n.AllocsPerOp, dns*100, dal*100, mark)
 	}
-	var onlyOld, onlyNew []string
-	for _, b := range old.Benches {
-		if _, ok := curBy[b.Name]; !ok {
-			onlyOld = append(onlyOld, b.Name)
-		}
-	}
-	for _, b := range cur.Benches {
-		if _, ok := oldBy[b.Name]; !ok {
-			onlyNew = append(onlyNew, b.Name)
-		}
-	}
-	sort.Strings(onlyOld)
-	sort.Strings(onlyNew)
+	onlyOld, onlyNew := onlyIn(old, cur), onlyIn(cur, old)
 	if len(onlyOld) > 0 {
 		fmt.Fprintf(w, "only in %s: %s\n", oldPath, strings.Join(onlyOld, ", "))
 	}
@@ -159,4 +147,20 @@ func writeDiff(w io.Writer, oldPath, newPath string, old, cur Capture, nsThresho
 	}
 	fmt.Fprintf(w, "%d shared bench(es), %d regressed\n", len(names), regressed)
 	return regressed
+}
+
+// onlyIn returns the sorted names of the benches in a that b lacks.
+func onlyIn(a, b Capture) []string {
+	have := make(map[string]bool, len(b.Benches))
+	for _, x := range b.Benches {
+		have[x.Name] = true
+	}
+	var names []string
+	for _, x := range a.Benches {
+		if !have[x.Name] {
+			names = append(names, x.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }

@@ -1,22 +1,27 @@
-// Command benchjson measures the repository's hot paths and records the
-// numbers as machine-comparable JSON, seeding the BENCH_<n>.json performance
+// Command benchjson records the repository's `go test -bench` results as
+// machine-comparable JSON, seeding the BENCH_<n>.json performance
 // trajectory that ROADMAP's "as fast as the hardware allows" north star
-// asks for.
+// asks for. Every benchmark is a Benchmark function in a _test.go file;
+// this command only captures, diffs and gates.
 //
 // Two modes:
 //
-//	benchjson [-config short|paper] [-suite] [-out BENCH_X.json]
-//	    runs the in-process throughput probes (event kernel, cluster
-//	    accounting, experiment suite) and, with -suite, the full
-//	    bench_test.go suite via `go test -bench`, then writes one JSON
-//	    document with ns/op, allocs/op, B/op and throughput extras
-//	    (events/s, jobs/s) per bench.
+//	benchjson [-bench .] [-out BENCH_X.json]
+//	    runs `go test -run '^$' -bench <re> -benchmem` twice: over
+//	    ./internal/... at Go's default benchtime, so the per-layer benches
+//	    (event kernel, cluster accounting, streaming risk, suite runner)
+//	    report steady-state numbers, and over the repository root at
+//	    -benchtime 1x, so each bench_test.go table, figure and ablation
+//	    runs once. It writes one JSON document with ns/op, allocs/op, B/op
+//	    and the reported extras (events/s, jobs/s, sims/s) per bench. Run
+//	    it from the repository root.
 //
 //	benchjson -diff OLD.json NEW.json [-threshold 0.10] [-alloc-threshold 0.10] [-gate]
 //	    compares two captures bench by bench and prints the deltas.
 //	    With -gate, exits non-zero when any shared bench regresses beyond
-//	    -threshold on ns/op or -alloc-threshold on allocs/op; without it
-//	    the diff is informational. The split matters for CI: allocs/op is
+//	    -threshold on ns/op or -alloc-threshold on allocs/op, or when a
+//	    bench of OLD is missing from NEW; without it the diff is
+//	    informational. The split matters for CI: allocs/op is
 //	    deterministic for a fixed workload, so the gate can hold it tight,
 //	    while ns/op on shared runners needs a loose bound. Deltas must
 //	    also clear absolute significance floors (10 ms/op for timing, half
@@ -24,10 +29,9 @@
 //	    amortized pool growth never flake the gate (see docs/performance.md
 //	    for the enforced settings).
 //
-// The tool is stdlib-only and takes all timing through testing.Benchmark —
-// operator-side wall time never leaks into simulation code, and no
-// wall-clock read or global rand appears in this package (repolint
-// enforces both).
+// The tool is stdlib-only and takes all timing from the go tool's
+// benchmark output — no wall-clock read or global rand appears in this
+// package (repolint enforces both).
 package main
 
 import (
@@ -39,7 +43,7 @@ import (
 	"os/exec"
 	"runtime"
 	"sort"
-	"testing"
+	"strings"
 )
 
 // Bench is one measured benchmark in a capture.
@@ -55,7 +59,6 @@ type Bench struct {
 // Capture is the top-level JSON document.
 type Capture struct {
 	Schema  string  `json:"schema"`
-	Config  string  `json:"config"`
 	Go      string  `json:"go"`
 	Benches []Bench `json:"benches"`
 }
@@ -78,11 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		out        = fs.String("out", "", "write the capture to this file (default stdout)")
-		config     = fs.String("config", "short", "probe scale: short (CI-sized) or paper (adds 5000-job probes)")
-		suite      = fs.Bool("suite", false, "also run the bench_test.go suite via `go test -bench` and fold it in")
-		benchRe    = fs.String("bench", ".", "bench regexp passed to `go test -bench` in -suite mode")
-		packages   = fs.String("packages", "./...", "packages passed to `go test` in -suite mode")
-		benchtime  = fs.String("benchtime", "1x", "benchtime passed to `go test` in -suite mode")
+		benchRe    = fs.String("bench", ".", "bench regexp passed to `go test -bench`")
 		diff       = fs.Bool("diff", false, "compare two captures: benchjson -diff OLD.json NEW.json")
 		threshold  = fs.Float64("threshold", 0.10, "ns/op regression threshold (fraction) for -diff")
 		allocThres = fs.Float64("alloc-threshold", -1, "allocs/op regression threshold for -diff (-1: same as -threshold)")
@@ -108,30 +107,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 			*allocThres = *threshold
 		}
 		regressed := writeDiff(stdout, fs.Arg(0), fs.Arg(1), old, cur, *threshold, *allocThres)
-		if *gate && regressed > 0 {
-			return fmt.Errorf("%w: %d bench(es) beyond ns %.0f%% / allocs %.0f%%",
-				errGate, regressed, *threshold*100, *allocThres*100)
+		missing := len(onlyIn(old, cur))
+		if *gate && regressed+missing > 0 {
+			return fmt.Errorf("%w: %d bench(es) beyond ns %.0f%% / allocs %.0f%%, %d missing from %s",
+				errGate, regressed, *threshold*100, *allocThres*100, missing, fs.Arg(1))
 		}
 		return nil
 	}
 
-	if *config != "short" && *config != "paper" {
-		return fmt.Errorf("unknown -config %q (want short or paper)", *config)
+	benches, err := capture(*benchRe, stderr)
+	if err != nil {
+		return err
 	}
-	cap := Capture{Schema: schemaVersion, Config: *config, Go: runtime.Version()}
-	for _, p := range probes(*config) {
-		fmt.Fprintf(stderr, "probe %s...\n", p.name)
-		r := testing.Benchmark(p.run)
-		cap.Benches = append(cap.Benches, benchFromResult(p.name, r))
-	}
-	if *suite {
-		fmt.Fprintf(stderr, "suite: go test -bench %s -benchtime %s %s\n", *benchRe, *benchtime, *packages)
-		parsed, err := runSuite(*benchRe, *benchtime, *packages, stderr)
-		if err != nil {
-			return err
-		}
-		cap.Benches = append(cap.Benches, parsed...)
-	}
+	cap := Capture{Schema: schemaVersion, Go: runtime.Version(), Benches: benches}
 	sort.Slice(cap.Benches, func(i, j int) bool { return cap.Benches[i].Name < cap.Benches[j].Name })
 
 	w := stdout
@@ -146,25 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(cap)
-}
-
-// benchFromResult converts a testing.BenchmarkResult into the JSON shape.
-// Throughput extras reported via b.ReportMetric ride along in Extra.
-func benchFromResult(name string, r testing.BenchmarkResult) Bench {
-	b := Bench{
-		Name:        name,
-		Iters:       r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
-	}
-	if len(r.Extra) > 0 {
-		b.Extra = make(map[string]float64, len(r.Extra))
-		for k, v := range r.Extra { //lint:allow maporder — copying into a map; JSON encoding sorts keys
-			b.Extra[k] = v
-		}
-	}
-	return b
 }
 
 func readCapture(path string) (Capture, error) {
@@ -182,15 +151,30 @@ func readCapture(path string) (Capture, error) {
 	return c, nil
 }
 
-// runSuite executes the repository's bench_test.go suite through the go
-// tool and parses the standard benchmark output format.
-func runSuite(benchRe, benchtime, packages string, stderr io.Writer) ([]Bench, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", benchRe, "-benchmem", "-benchtime", benchtime, packages)
-	cmd.Stderr = stderr
-	outPipe, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
+// captureRuns are the `go test` package arguments of the two capture
+// passes: the per-layer benches under internal/ at Go's default
+// benchtime, and the paper-suite benches of the root bench_test.go at one
+// iteration each.
+var captureRuns = [][]string{
+	{"./internal/..."},
+	{"-benchtime", "1x", "."},
+}
+
+// capture runs both passes through the go tool and parses the standard
+// benchmark output format.
+func capture(benchRe string, stderr io.Writer) ([]Bench, error) {
+	var benches []Bench
+	for _, pkgArgs := range captureRuns {
+		args := append([]string{"test", "-run", "^$", "-bench", benchRe, "-benchmem"}, pkgArgs...)
+		fmt.Fprintf(stderr, "go %s\n", strings.Join(args, " "))
+		cmd := exec.Command("go", args...)
+		cmd.Stderr = stderr
+		out, err := cmd.Output()
+		if err != nil {
+			stderr.Write(out)
+			return nil, fmt.Errorf("go test -bench: %w", err)
+		}
+		benches = append(benches, ParseGoBench(string(out))...)
 	}
-	return ParseGoBench(string(outPipe)), nil
+	return benches, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -71,7 +72,7 @@ ok	repro	1.2s
 }
 
 func capFixture(benches ...Bench) Capture {
-	return Capture{Schema: schemaVersion, Config: "short", Go: "gotest", Benches: benches}
+	return Capture{Schema: schemaVersion, Go: "gotest", Benches: benches}
 }
 
 func writeCaptureFile(t *testing.T, path string, c Capture) {
@@ -208,6 +209,17 @@ func TestRunDiffModeAndGate(t *testing.T) {
 	if err := run([]string{"-diff", "-gate", "-threshold", "5.0", "-alloc-threshold", "0.02", oldPath, newPath}, &out, &errw); err != nil {
 		t.Fatalf("gated diff with tight alloc threshold errored on an allocs-flat capture: %v", err)
 	}
+	// A bench of the baseline missing from the new capture fails the gate
+	// even when every shared bench is flat; the informational diff only
+	// reports it.
+	lostPath := filepath.Join(dir, "lost.json")
+	writeCaptureFile(t, lostPath, capFixture(Bench{Name: "sim/b", NsPerOp: 1e7, AllocsPerOp: 4}))
+	if err := run([]string{"-diff", "-gate", oldPath, lostPath}, &out, &errw); !errors.Is(err, errGate) {
+		t.Fatalf("gated diff losing sim/a: err = %v, want the gate to trip", err)
+	}
+	if err := run([]string{"-diff", oldPath, lostPath}, &out, &errw); err != nil {
+		t.Fatalf("informational diff losing sim/a errored: %v", err)
+	}
 }
 
 func TestRunDiffRejectsBadInput(t *testing.T) {
@@ -224,37 +236,6 @@ func TestRunDiffRejectsBadInput(t *testing.T) {
 	writeCaptureFile(t, good, capFixture())
 	if err := run([]string{"-diff", bad, good}, &out, &errw); err == nil {
 		t.Error("diff with wrong schema succeeded, want error")
-	}
-	if err := run([]string{"-config", "bogus"}, &out, &errw); err == nil {
-		t.Error("unknown config succeeded, want error")
-	}
-}
-
-func TestProbeNamesStableAndUnique(t *testing.T) {
-	short := probes("short")
-	paper := probes("paper")
-	if len(paper) != len(short)+1 {
-		t.Fatalf("paper config has %d probes, short %d; want exactly one extra", len(paper), len(short))
-	}
-	seen := map[string]bool{}
-	for _, p := range paper {
-		if p.name == "" || p.run == nil {
-			t.Fatalf("probe %+v incomplete", p)
-		}
-		if seen[p.name] {
-			t.Fatalf("duplicate probe name %q", p.name)
-		}
-		seen[p.name] = true
-	}
-	// The diff gate keys on these prefixes; keep the kernel family present.
-	kernel := 0
-	for name := range seen {
-		if strings.HasPrefix(name, "sim/") {
-			kernel++
-		}
-	}
-	if kernel < 3 {
-		t.Fatalf("only %d sim/ kernel probes, want >= 3", kernel)
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/control"
 )
 
@@ -80,7 +81,7 @@ func run(ctx context.Context, addr string, cfg control.Config, probeInterval, dr
 		go plane.RunProber(ctx, probeInterval)
 	}
 
-	hs := &http.Server{Handler: plane.Handler()}
+	hs := serve.NewHTTPServer(plane.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(logw, "riskctl: listening on %s\n", ln.Addr())

@@ -143,7 +143,7 @@ func run(ctx context.Context, addr string, cfg serve.Config, fleet fleetConfig, 
 	defer stop()
 	go srv.RunSweeper(ctx)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(logw, "riskserved: listening on %s\n", ln.Addr())

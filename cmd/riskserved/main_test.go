@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,27 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// startDaemon runs the daemon on a loopback port until ctx is cancelled,
+// returning its address and the channel run's result arrives on.
+func startDaemon(t *testing.T, ctx context.Context, cfg serve.Config, fleet fleetConfig, drainTimeout time.Duration) (string, <-chan error) {
+	t.Helper()
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, "127.0.0.1:0", cfg, fleet, drainTimeout, io.Discard, ready)
+	}()
+	select {
+	case addr := <-ready:
+		return addr, errc
+	case err := <-errc:
+		t.Fatal(err)
+	//lint:allow wallclock — liveness timeout for a real daemon under test, not simulation time
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not come up")
+	}
+	return "", nil
+}
 
 // post sends a JSON body and decodes the JSON response.
 func post(t *testing.T, url string, body, out any) *http.Response {
@@ -54,21 +76,8 @@ func post(t *testing.T, url string, body, out any) *http.Response {
 func TestServeSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, "127.0.0.1:0", serve.Config{}, fleetConfig{}, 5*time.Second, io.Discard, ready)
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case err := <-errc:
-		t.Fatal(err)
-	//lint:allow wallclock — liveness timeout for a real daemon under test, not simulation time
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not come up")
-	}
+	addr, errc := startDaemon(t, ctx, serve.Config{}, fleetConfig{}, 5*time.Second)
+	base := "http://" + addr
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -141,20 +150,8 @@ func TestServeWorkerModeRegistration(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
 	fleet := fleetConfig{ControlURL: cp.URL, Name: "w-test"}
-	go func() {
-		errc <- run(ctx, "127.0.0.1:0", serve.Config{}, fleet, 5*time.Second, io.Discard, ready)
-	}()
-	select {
-	case <-ready:
-	case err := <-errc:
-		t.Fatal(err)
-	//lint:allow wallclock — liveness timeout for a real daemon under test, not simulation time
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker did not come up")
-	}
+	_, errc := startDaemon(t, ctx, serve.Config{}, fleet, 5*time.Second)
 	topo := plane.Topology()
 	if len(topo.Workers) != 1 || topo.Workers[0].Name != "w-test" || !topo.Workers[0].Healthy {
 		t.Fatalf("after startup, topology = %+v, want healthy w-test", topo.Workers)
@@ -199,22 +196,39 @@ func TestServeWorkerModeBadControlPlane(t *testing.T) {
 func TestServeAddrInUse(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, "127.0.0.1:0", serve.Config{}, fleetConfig{}, time.Second, io.Discard, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-errc:
-		t.Fatal(err)
-	//lint:allow wallclock — liveness timeout for a real daemon under test, not simulation time
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not come up")
-	}
+	addr, errc := startDaemon(t, ctx, serve.Config{}, fleetConfig{}, time.Second)
 	if err := run(ctx, addr, serve.Config{}, fleetConfig{}, time.Second, io.Discard, nil); err == nil {
 		t.Fatal("second listener on the same address succeeded")
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// A client that sends half a request line and then stalls is
+// disconnected once the header read timeout passes, instead of holding
+// its connection open forever.
+func TestServeDisconnectsSlowClient(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, errc := startDaemon(t, ctx, serve.Config{}, fleetConfig{}, time.Second)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	//lint:allow wallclock — bounds the wait for the daemon's disconnect, not simulation time
+	if err := conn.SetReadDeadline(time.Now().Add(serve.ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon may answer 408 before hanging up; only a read that
+	// outlives the deadline means the connection was held open.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("daemon kept a stalled connection open: %v", err)
 	}
 	cancel()
 	if err := <-errc; err != nil {

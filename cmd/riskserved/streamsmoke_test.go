@@ -25,21 +25,8 @@ import (
 func TestStreamSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, "127.0.0.1:0", serve.Config{RiskWindow: 8}, fleetConfig{}, 5*time.Second, io.Discard, ready)
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case err := <-errc:
-		t.Fatal(err)
-	//lint:allow wallclock — liveness timeout for a real daemon under test, not simulation time
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not come up")
-	}
+	addr, errc := startDaemon(t, ctx, serve.Config{RiskWindow: 8}, fleetConfig{}, 5*time.Second)
+	base := "http://" + addr
 
 	// Seeded workload with a live fault process — the same kind of session
 	// the migration battery exercises.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/economy"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
@@ -327,6 +328,20 @@ func TestImportValidation(t *testing.T) {
 	for _, b := range bad {
 		if w := doRaw(t, h, http.MethodPost, "/worker/v1/sessions/import", b); w.Code != http.StatusBadRequest {
 			t.Errorf("import %q: status %d, want 400", b, w.Code)
+		}
+	}
+	// A canonical journal header naming a machine above the node ceiling
+	// is refused like an oversized create; at the ceiling it imports.
+	for _, tc := range []struct {
+		nodes int
+		want  int
+	}{{maxNodes + 1, http.StatusBadRequest}, {maxNodes, http.StatusCreated}} {
+		journal := obs.NewSessionJournal(obs.SessionHeader{
+			ID: fmt.Sprintf("n%d", tc.nodes), Policy: "Libra", Model: "commodity",
+			Nodes: tc.nodes, BasePrice: economy.DefaultBasePrice,
+		}).Bytes()
+		if w := doRaw(t, h, http.MethodPost, "/worker/v1/sessions/import", journal); w.Code != tc.want {
+			t.Errorf("import of a %d-node session: status %d, want %d: %s", tc.nodes, w.Code, tc.want, w.Body)
 		}
 	}
 }

@@ -313,6 +313,7 @@ func TestServeValidation(t *testing.T) {
 		{Policy: "Libra", Model: "commodity", FaultIntensity: "high"}, // no horizon
 		{Policy: "Libra", Model: "commodity", FaultHorizon: 100},      // horizon without intensity
 		{Policy: "Libra", Model: "commodity", Nodes: -1},
+		{Policy: "Libra", Model: "commodity", Nodes: maxNodes + 1},
 	}
 	for _, req := range badCreates {
 		if w := do(t, h, http.MethodPost, "/v1/sessions", req); w.Code != http.StatusBadRequest {

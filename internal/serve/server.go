@@ -122,6 +122,22 @@ func (s *Server) Risk() *streamrisk.Engine { return s.stream }
 // Handler returns the daemon's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts of the service plane's daemons (riskserved and
+// riskctl). ReadHeaderTimeout disconnects a client that trickles its
+// request head; IdleTimeout closes keep-alive connections nobody reuses.
+// There is deliberately no WriteTimeout: it would cut /v1/risk/stream,
+// whose response lasts as long as its subscriber stays.
+const (
+	ReadHeaderTimeout = 3 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps a daemon's root handler in an http.Server carrying
+// the connection timeouts above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Sessions returns the live session count.
 func (s *Server) Sessions() int { return s.store.size() }
 
@@ -190,6 +206,12 @@ type sessionParams struct {
 	FaultHorizon   float64
 }
 
+// maxNodes caps a session's machine, for create requests and imported
+// journal headers alike: the worker allocates per-node state up front, so
+// an unbounded node count lets one request exhaust its memory. 4096 is 32×
+// the paper's 128-node machine.
+const maxNodes = 4096
+
 // buildDriver validates the parameters and constructs the step-driven
 // simulation plus the journal header describing it. Defaults (128 nodes,
 // the paper's base price) are applied here so the create and import paths
@@ -210,6 +232,9 @@ func buildDriver(p sessionParams) (*scheduler.Session, obs.SessionHeader, error)
 	cfg := scheduler.RunConfig{Nodes: p.Nodes, Model: m, BasePrice: p.BasePrice}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 128
+	}
+	if cfg.Nodes > maxNodes {
+		return nil, obs.SessionHeader{}, fmt.Errorf("nodes %d above the %d-node ceiling", cfg.Nodes, maxNodes)
 	}
 	if cfg.BasePrice == 0 {
 		cfg.BasePrice = economy.DefaultBasePrice

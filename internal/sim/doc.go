@@ -14,7 +14,7 @@
 // # Performance model
 //
 // The kernel is the innermost loop of every simulation, so it holds three
-// invariants (measured by cmd/benchjson's sim/* probes and pinned by the
+// invariants (measured by the BenchmarkEngine* benches and pinned by the
 // BENCH_<n>.json trajectory):
 //
 //   - Zero steady-state allocations. Event records live on a per-engine

@@ -151,37 +151,3 @@ func TestCancelHeapIntegrity(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkEngineSteadyState is the kernel's headline number: one event
-// through a warm engine (pool hit, heap depth 1).
-func BenchmarkEngineSteadyState(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	remaining := b.N
-	var spawn func()
-	spawn = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		e.MustSchedule(e.Now()+1, "bench", spawn)
-	}
-	b.ResetTimer()
-	spawn()
-	e.Run()
-}
-
-// BenchmarkEngineCancel measures the schedule→cancel cycle against a modest
-// background heap — the completion-reschedule pattern in the cluster layer.
-func BenchmarkEngineCancel(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	for i := 0; i < 128; i++ {
-		e.MustSchedule(Time(1e9+float64(i)), "background", func() {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.MustSchedule(Time(1+float64(i%1000)), "victim", func() {})
-		e.Cancel(ev)
-	}
-}
