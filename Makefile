@@ -20,11 +20,12 @@ race:
 	$(GO) test -race ./...
 
 # Fast race pass over the two packages with worker-pool concurrency
-# (the suite runner and its observer plumbing) plus the meta-broker every
-# suite replication runs through — the inner loop of verify when the full
-# -race run is too slow for the edit cycle.
+# (the suite runner and its observer plumbing), the meta-broker every
+# suite replication runs through, and the cluster models whose
+# maintained indexes every Libra-family simulation reads — the inner loop
+# of verify when the full -race run is too slow for the edit cycle.
 race-hot:
-	$(GO) test -race ./internal/experiment ./internal/obs ./internal/broker
+	$(GO) test -race ./internal/experiment ./internal/obs ./internal/broker ./internal/cluster
 
 # Fail if any tracked Go file is not gofmt-clean. Fixtures under testdata
 # are real Go source and are held to the same standard.
@@ -92,7 +93,7 @@ OUT ?= BENCH_local.json
 bench-capture:
 	$(GO) run ./cmd/benchjson -out $(OUT)
 
-OLD ?= BENCH_PR14.json
+OLD ?= BENCH_PR15.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

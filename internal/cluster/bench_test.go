@@ -65,6 +65,85 @@ func BenchmarkTimeSharedChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkTimeSharedAdmit measures one Libra+$-shaped admission on a
+// 128-node proportional-share machine in steady state: the best-fit
+// CandidateNodes query, then CommittedSeconds on the first Procs
+// candidates (the RESFree price inputs). Admissions run in rounds of
+// eight; between rounds, with the timer stopped, the round's admitted jobs
+// start and the oldest residents are killed to hold the population. Start
+// must allocate the job's record, but the admission query itself —
+// including the candidate re-sort the starts leave pending — must not
+// allocate.
+func BenchmarkTimeSharedAdmit(b *testing.B) {
+	const nodes, resident, round = 128, 96, 8
+	e := sim.NewEngine()
+	ts := NewTimeShared(e, nodes)
+	var g lcg = 5
+	type admitted struct {
+		share, deadline float64
+		nodes           [8]int
+		procs           int
+	}
+	pending := make([]admitted, 0, round)
+	var running []*workload.Job
+	id := 0
+	sink := 0.0
+	admit := func() {
+		procs := 1 + int(g.next()%8)
+		share := 0.05 + g.float()*0.3
+		deadline := 1000 + g.float()*9000
+		cand := ts.CandidateNodes(share)
+		if len(cand) < procs {
+			return
+		}
+		a := admitted{share: share, deadline: deadline, procs: procs}
+		for k, n := range cand[:procs] {
+			sink += ts.CommittedSeconds(n, deadline)
+			a.nodes[k] = n
+		}
+		pending = append(pending, a)
+	}
+	startPending := func() {
+		for _, a := range pending {
+			id++
+			j := &workload.Job{ID: id, Runtime: 1e9, Estimate: a.share * a.deadline,
+				Procs: a.procs, Deadline: a.deadline}
+			if ts.Start(j, a.share, a.nodes[:a.procs], nil) != nil {
+				continue // an earlier start in the round took the capacity
+			}
+			running = append(running, j)
+			if len(running) > resident {
+				if err := ts.Kill(running[0]); err != nil {
+					b.Fatal(err)
+				}
+				running = running[1:]
+			}
+		}
+		pending = pending[:0]
+	}
+	for tries := 0; len(running) < resident && tries < 100*resident; tries++ {
+		admit()
+		startPending()
+	}
+	if len(running) < resident {
+		b.Fatalf("degenerate benchmark: only %d of %d resident jobs admitted", len(running), resident)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admit()
+		if len(pending) == round || i == b.N-1 {
+			b.StopTimer()
+			startPending()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	if sink == 0 {
+		b.Fatal("degenerate benchmark: nothing committed")
+	}
+}
+
 // BenchmarkSpaceSharedEarliest measures the EASY-backfilling reservation
 // queries (EarliestAvailable, AvailableAt) against a 128-node machine with
 // ~96 running jobs — the per-submission cost every backfilling policy pays.

@@ -57,12 +57,18 @@ func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffS
 	for i := 0; i < diffJobs; i++ {
 		runtime := 10 + rng.Float64()*400
 		estimate := runtime * (0.5 + rng.Float64())
+		procs := 1 + rng.Intn(3)
+		if rng.Intn(8) == 0 {
+			// Occasionally up to machine-wide: one job then sits on many
+			// dirty nodes, and recompute must still refresh it once.
+			procs = 1 + rng.Intn(diffNodes)
+		}
 		j := &workload.Job{
 			ID:       i + 1,
 			Submit:   rng.Float64() * diffHorizon * 0.6,
 			Runtime:  runtime,
 			Estimate: estimate,
-			Procs:    1 + rng.Intn(3),
+			Procs:    procs,
 		}
 		share := 0.1 + 0.5*rng.Float64()
 		if rng.Intn(5) > 0 {
@@ -70,6 +76,11 @@ func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffS
 			// undercut the actual runtime).
 			j.Deadline = estimate * (0.5 + 1.5*rng.Float64())
 			share = stats.Clamp(j.Estimate/j.Deadline, 0.05, 1)
+		}
+		if rng.Intn(10) == 0 {
+			// Below workEps a down node's zero free share still passes the
+			// share test, so only the explicit down check keeps it out.
+			share = workEps / 2
 		}
 		sc.jobs = append(sc.jobs, j)
 		sc.shares = append(sc.shares, share)
@@ -136,6 +147,14 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 	rec := func(format string, args ...any) {
 		journal = append(journal, fmt.Sprintf(format, args...))
 	}
+	// candidates journals the best-fit order at shares spanning the range,
+	// including one below workEps, which down nodes would pass on free
+	// share alone.
+	candidates := func(tag string) {
+		for _, share := range []float64{workEps / 2, 0.05, 0.3, 0.7, 1} {
+			rec("%s candidates %s %v", tag, fbits(share), impl.CandidateNodes(share))
+		}
+	}
 	for i, j := range sc.jobs {
 		j, share := j, sc.shares[i]
 		e.MustSchedule(sim.Time(j.Submit), "diff submit", func() {
@@ -163,17 +182,20 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 					ids[k] = v.ID
 				}
 				rec("fail %d at=%s victims=%v", fe.Node, tbits(e.Now()), ids)
+				candidates("fail")
 			})
 		} else {
 			e.MustSchedule(sim.Time(fe.Time), "diff repair", func() {
 				impl.Repair(fe.Node)
 				rec("repair %d at=%s", fe.Node, tbits(e.Now()))
+				candidates("repair")
 			})
 		}
 	}
 	for k := 1; k <= 10; k++ {
 		at := diffHorizon * float64(k) / 10
 		e.MustSchedule(sim.Time(at), "diff probe", func() {
+			candidates("probe")
 			for i := 0; i < diffNodes; i++ {
 				rec("free %d %s committed %s", i,
 					fbits(impl.FreeShare(i)), fbits(impl.CommittedSeconds(i, 500)))

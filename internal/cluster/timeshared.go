@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -41,6 +42,9 @@ type TSJob struct {
 	lapsed    bool    // booking expired before completion
 	lapseEv   sim.Event
 	done      func(*workload.Job)
+	// epoch stamps the recompute that last refreshed rate, so a job
+	// spanning several dirty nodes is refreshed once per recompute.
+	epoch uint64
 }
 
 // Progress returns the actual work completed so far, in processor-seconds
@@ -95,7 +99,10 @@ type tsNode struct {
 	// would yield the bitwise-identical float, so skipping is exact, not
 	// approximate.
 	dirty bool
-	jobs  map[*TSJob]struct{}
+	// jobs lists the node's running jobs in job-ID order, same-ID jobs in
+	// start order: the order CommittedSeconds sums in and Fail reports
+	// victims in.
+	jobs []*TSJob
 }
 
 func (n *tsNode) totalWeight() float64 { return n.booked + n.lapsedWeight }
@@ -124,9 +131,22 @@ type TimeShared struct {
 	order      []*TSJob
 	lastUpdate sim.Time
 	next       sim.Event
-	// dirtyNodes lists the nodes currently marked dirty, so recompute can
-	// clear the flags without scanning the whole machine.
+	// dirtyNodes lists the nodes currently marked dirty: recompute
+	// refreshes exactly the jobs on them and clears the flags without
+	// scanning the whole machine.
 	dirtyNodes []int
+	// epoch counts recomputes; see TSJob.epoch.
+	epoch uint64
+	// byFree holds every node index sorted by (FreeShare, index), the
+	// best-fit order CandidateNodes answers from. byFreeStale marks that a
+	// free share or a down flag changed since the last sort.
+	byFree      []int
+	byFreeStale bool
+	// candidates is CandidateNodes' reused result buffer.
+	candidates []int
+	// complete is onCompletion bound once, so rescheduling the completion
+	// event does not allocate a method value per recompute.
+	complete func()
 
 	// busyIntegral accumulates useful processor work (Σ rate·width over
 	// time) for Utilization. Capacity allocated on a fast node but idled
@@ -158,17 +178,20 @@ func NewTimeSharedRated(engine *sim.Engine, ratings []float64) *TimeShared {
 		panic("cluster: no node ratings")
 	}
 	ts := &TimeShared{
-		engine:  engine,
-		nodes:   make([]tsNode, len(ratings)),
-		running: make(map[*workload.Job]*TSJob),
+		engine:     engine,
+		nodes:      make([]tsNode, len(ratings)),
+		running:    make(map[*workload.Job]*TSJob),
+		byFree:     make([]int, len(ratings)),
+		candidates: make([]int, 0, len(ratings)),
 	}
 	for i, r := range ratings {
 		if r <= 0 {
 			panic(fmt.Sprintf("cluster: non-positive rating %v for node %d", r, i))
 		}
 		ts.nodes[i].rating = r
-		ts.nodes[i].jobs = make(map[*TSJob]struct{})
+		ts.byFree[i] = i // every node starts fully free: index order is sorted
 	}
+	ts.complete = ts.onCompletion
 	return ts
 }
 
@@ -211,9 +234,11 @@ func (t *TimeShared) Load(i int) float64 { return t.nodes[i].booked }
 // NodeHasOverrun reports whether any job on node i has exceeded its
 // estimate (and is therefore holding capacity for an unknown further
 // time).
+//
+//lint:hot
 func (t *TimeShared) NodeHasOverrun(i int) bool {
 	t.advance()
-	for j := range t.nodes[i].jobs { //lint:allow maporder — existence check; the result is order-independent
+	for _, j := range t.nodes[i].jobs {
 		if j.Overrun() {
 			return true
 		}
@@ -224,24 +249,58 @@ func (t *TimeShared) NodeHasOverrun(i int) bool {
 // CandidateNodes returns the indices of nodes with at least the given free
 // share, sorted best-fit first (least remaining free share, then index) —
 // Libra saturates nodes to their maximum.
+//
+// The result is a buffer owned by the cluster: it is valid until the next
+// CandidateNodes call, and the caller may filter or reorder it in place
+// (LibraRiskD filters it into candidates[:0]) without affecting later
+// answers.
+//
+//lint:hot
 func (t *TimeShared) CandidateNodes(share float64) []int {
-	var idx []int
-	for i := range t.nodes {
+	if t.byFreeStale {
+		t.sortByFree()
+	}
+	// f+workEps >= share is monotone in f, so the candidates are a suffix
+	// of the (FreeShare, index) order: find where it starts.
+	lo, hi := 0, len(t.byFree)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.FreeShare(t.byFree[mid])+workEps >= share {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	idx := t.candidates[:0]
+	for _, i := range t.byFree[lo:] {
 		if t.nodes[i].down {
 			continue // a failed node can host nothing, however small the share
 		}
-		if t.FreeShare(i)+workEps >= share {
-			idx = append(idx, i)
-		}
+		idx = append(idx, i) //lint:allow hotalloc — never grows: the buffer is preallocated to the machine size
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := t.FreeShare(idx[a]), t.FreeShare(idx[b])
-		if fa != fb {
-			return fa < fb
-		}
-		return idx[a] < idx[b]
-	})
+	t.candidates = idx
 	return idx
+}
+
+// sortByFree restores byFree's (FreeShare, index) order by insertion sort:
+// between calls only the few nodes a start, lapse, completion, failure or
+// repair touched are out of place.
+func (t *TimeShared) sortByFree() {
+	order := t.byFree
+	for k := 1; k < len(order); k++ {
+		n := order[k]
+		f := t.FreeShare(n)
+		m := k
+		for ; m > 0; m-- {
+			p := order[m-1]
+			if fp := t.FreeShare(p); fp < f || (fp == f && p < n) {
+				break
+			}
+			order[m] = p
+		}
+		order[m] = n
+	}
+	t.byFreeStale = false
 }
 
 // CommittedSeconds returns the processor-seconds booked on node i over the
@@ -249,23 +308,21 @@ func (t *TimeShared) CandidateNodes(share float64) []int {
 // absolute deadline. Lapsed jobs contribute nothing — their booking has
 // expired even though they still execute. Libra+$'s RESFree is derived
 // from this.
+//
+//lint:hot
 func (t *TimeShared) CommittedSeconds(i int, horizon float64) float64 {
 	if horizon <= 0 {
 		return 0
 	}
 	t.advance()
 	now := float64(t.engine.Now())
-	// Sum in job-ID order: float addition is not associative, and map
-	// iteration order would otherwise make quoted prices depend on it.
-	jobs := make([]*TSJob, 0, len(t.nodes[i].jobs))
-	for tj := range t.nodes[i].jobs { //lint:allow maporder — collected jobs are sorted by ID immediately below
-		if !tj.lapsed {
-			jobs = append(jobs, tj)
-		}
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Job.ID < jobs[b].Job.ID })
+	// Sum in the node list's job-ID order: float addition is not
+	// associative, so a fixed order keeps quoted prices reproducible.
 	total := 0.0
-	for _, tj := range jobs {
+	for _, tj := range t.nodes[i].jobs {
+		if tj.lapsed {
+			continue
+		}
 		end := tj.Job.AbsDeadline()
 		if tj.Job.Deadline <= 0 { // no deadline: booked until completion
 			end = now + tj.remaining/math.Max(tj.rate, tj.Share)
@@ -313,7 +370,7 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 	}
 	for _, n := range nodes {
 		t.nodes[n].booked = math.Min(1, t.nodes[n].booked+share)
-		t.nodes[n].jobs[tj] = struct{}{}
+		t.nodes[n].jobs = insertByID(t.nodes[n].jobs, tj)
 	}
 	t.running[j] = tj
 	t.order = append(t.order, tj)
@@ -404,7 +461,7 @@ func (t *TimeShared) Kill(j *workload.Job) error {
 				t.nodes[n].booked = 0
 			}
 		}
-		delete(t.nodes[n].jobs, tj)
+		t.nodes[n].jobs = removeJob(t.nodes[n].jobs, tj)
 	}
 	t.markDirty(tj.Nodes)
 	t.recompute()
@@ -413,7 +470,8 @@ func (t *TimeShared) Kill(j *workload.Job) error {
 
 // Fail marks node i as failed and kills every job with a share on it — a
 // parallel job dies whole when any of its nodes fails. Victims are returned
-// in job-ID order so the owning policy can account for them; the node
+// in job-ID order (same-ID jobs in start order) so the owning policy can
+// account for them; the node
 // accepts no new work until Repair. Failing a node that is already down is
 // a programming error (the generator emits strictly alternating events).
 func (t *TimeShared) Fail(i int) []*workload.Job {
@@ -424,21 +482,16 @@ func (t *TimeShared) Fail(i int) []*workload.Job {
 		panic(fmt.Sprintf("cluster: node %d failed twice without repair", i))
 	}
 	var victims []*workload.Job
-	for _, tj := range t.order { // start order: deterministic iteration
-		for _, n := range tj.Nodes {
-			if n == i {
-				victims = append(victims, tj.Job)
-				break
-			}
-		}
+	for _, tj := range t.nodes[i].jobs { // job-ID order, ties in start order
+		victims = append(victims, tj.Job)
 	}
-	sort.Slice(victims, func(a, b int) bool { return victims[a].ID < victims[b].ID })
 	for _, j := range victims {
 		if err := t.Kill(j); err != nil {
 			panic(err) // victims were just read from the running set
 		}
 	}
 	t.nodes[i].down = true
+	t.byFreeStale = true
 	return victims
 }
 
@@ -452,6 +505,7 @@ func (t *TimeShared) Repair(i int) {
 		panic(fmt.Sprintf("cluster: node %d repaired while up", i))
 	}
 	t.nodes[i].down = false
+	t.byFreeStale = true
 }
 
 // Lookup returns the running-state record for j, or nil.
@@ -483,6 +537,7 @@ func (t *TimeShared) advance() {
 // recompute. Every mutation of booked/lapsedWeight must be followed by a
 // markDirty of the affected nodes before recompute runs.
 func (t *TimeShared) markDirty(nodes []int) {
+	t.byFreeStale = true
 	for _, n := range nodes {
 		if !t.nodes[n].dirty {
 			t.nodes[n].dirty = true
@@ -494,39 +549,40 @@ func (t *TimeShared) markDirty(nodes []int) {
 // recompute refreshes the execution rate of every job touching a dirty node
 // and reschedules the next completion event. Callers must advance() first.
 //
-// Jobs entirely on clean nodes are skipped: their rate inputs (own weight,
-// node total weights, ratings) are unchanged, so the recomputed value would
-// be bitwise identical — the skip is exact. The completion event is always
-// cancelled and rescheduled, even when the soonest eta is unchanged, so the
-// kernel's event sequence numbers (and therefore same-time tie-breaking)
-// match a full recompute step for step.
+// Only the dirty nodes' job lists are walked: jobs entirely on clean nodes
+// keep their rate, because its inputs (own weight, node total weights,
+// ratings) are unchanged and the recomputed value would be bitwise
+// identical — the skip is exact. Each rate depends only on its own job and
+// nodes, so the refresh order does not matter either. The completion event
+// is always cancelled and rescheduled, even when the soonest eta is
+// unchanged, so the kernel's event sequence numbers (and therefore
+// same-time tie-breaking) match a full recompute step for step.
+//
+//lint:hot
 func (t *TimeShared) recompute() {
-	for _, tj := range t.order {
-		needs := false
-		for _, n := range tj.Nodes {
-			if t.nodes[n].dirty {
-				needs = true
-				break
+	t.epoch++
+	for _, dn := range t.dirtyNodes {
+		for _, tj := range t.nodes[dn].jobs {
+			if tj.epoch == t.epoch {
+				continue // already refreshed via another of its nodes
 			}
-		}
-		if !needs {
-			continue
-		}
-		w := tj.weight()
-		rate := math.Inf(1)
-		for _, n := range tj.Nodes {
-			total := t.nodes[n].totalWeight()
-			frac := 1.0
-			if total > w {
-				frac = w / total
+			tj.epoch = t.epoch
+			w := tj.weight()
+			rate := math.Inf(1)
+			for _, n := range tj.Nodes {
+				total := t.nodes[n].totalWeight()
+				frac := 1.0
+				if total > w {
+					frac = w / total
+				}
+				// The node delivers its weighted slice at its own speed; a
+				// parallel job advances at its slowest node.
+				if r := frac * t.nodes[n].rating; r < rate {
+					rate = r
+				}
 			}
-			// The node delivers its weighted slice at its own speed; a
-			// parallel job advances at its slowest node.
-			if r := frac * t.nodes[n].rating; r < rate {
-				rate = r
-			}
+			tj.rate = rate
 		}
-		tj.rate = rate
 	}
 	for _, n := range t.dirtyNodes {
 		t.nodes[n].dirty = false
@@ -544,7 +600,7 @@ func (t *TimeShared) recompute() {
 			soonest = eta
 		}
 	}
-	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.onCompletion)
+	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.complete)
 }
 
 // onCompletion retires every job whose work is done, then reschedules.
@@ -561,7 +617,8 @@ func (t *TimeShared) onCompletion() {
 		kept = append(kept, tj)
 	}
 	t.order = kept
-	sort.Slice(finished, func(i, k int) bool { return finished[i].Job.ID < finished[k].Job.ID })
+	// Retire in job-ID order; same-ID jobs keep their start order.
+	slices.SortStableFunc(finished, func(a, b *TSJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
 	for _, tj := range finished {
 		delete(t.running, tj.Job)
 		t.engine.Cancel(tj.lapseEv)
@@ -579,7 +636,7 @@ func (t *TimeShared) onCompletion() {
 					t.nodes[n].booked = 0
 				}
 			}
-			delete(t.nodes[n].jobs, tj)
+			t.nodes[n].jobs = removeJob(t.nodes[n].jobs, tj)
 		}
 	}
 	t.recompute()
@@ -588,4 +645,23 @@ func (t *TimeShared) onCompletion() {
 			tj.done(tj.Job)
 		}
 	}
+}
+
+// insertByID inserts tj into a node's job list after every job with an ID
+// no greater than its own, keeping the list in job-ID order with same-ID
+// jobs in start order. New jobs usually carry the highest ID, so the scan
+// from the back is short.
+func insertByID(jobs []*TSJob, tj *TSJob) []*TSJob {
+	k := len(jobs)
+	for k > 0 && jobs[k-1].Job.ID > tj.Job.ID {
+		k--
+	}
+	return slices.Insert(jobs, k, tj)
+}
+
+// removeJob deletes tj, which must be present, from a node's job list,
+// preserving the order of the rest.
+func removeJob(jobs []*TSJob, tj *TSJob) []*TSJob {
+	k := slices.Index(jobs, tj)
+	return slices.Delete(jobs, k, k+1)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,93 @@ func TestTimeSharedCandidateNodesBestFit(t *testing.T) {
 	got = c.CandidateNodes(0.5)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("CandidateNodes(0.5) = %v, want [1 2]", got)
+	}
+}
+
+// CandidateNodes returns a reused buffer that callers may filter in place
+// (LibraRiskD does); doing so must not leak into the next answer.
+func TestTimeSharedCandidateNodesInPlaceFilter(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewTimeShared(e, 4)
+	if err := c.Start(job(1, 1, 1000, 1000), 0.6, []int{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	first := c.CandidateNodes(0.3)
+	want := slices.Clone(first)
+	kept := first[:0]
+	for _, n := range first {
+		if n%2 == 1 {
+			kept = append(kept, n)
+		}
+	}
+	kept[0] = 99
+	if got := c.CandidateNodes(0.3); !slices.Equal(got, want) {
+		t.Errorf("after filtering in place: CandidateNodes(0.3) = %v, want %v", got, want)
+	}
+}
+
+// Clients may reuse job IDs (riskserved takes them from the request). A
+// node's same-ID jobs sum in start order, so a committed-seconds quote has
+// one defined float value; Fail reports them, and same-instant completions
+// retire them, in that order too.
+func TestTimeSharedDuplicateIDsHaveDefinedOrder(t *testing.T) {
+	type spec struct {
+		id              int
+		share, deadline float64
+	}
+	// Start order differs from ID order; the two ID-2 jobs' terms sum to a
+	// different last bit depending on which is added first.
+	specs := []spec{{2, 0.2, 77}, {1, 0.1, 100}, {2, 0.3, 333}}
+	byID := []spec{specs[1], specs[0], specs[2]}
+	want, swapped := 0.0, 0.0
+	for _, s := range byID {
+		want += s.share * s.deadline
+	}
+	for _, s := range []spec{byID[0], byID[2], byID[1]} {
+		swapped += s.share * s.deadline
+	}
+	if want == swapped {
+		t.Fatal("fixture is order-insensitive; pick terms whose sum depends on order")
+	}
+	for trial := 0; trial < 50; trial++ {
+		e := sim.NewEngine()
+		c := NewTimeShared(e, 1)
+		var jobs []*workload.Job
+		for _, s := range specs {
+			j := djob(s.id, 1, 0, 1e4, 1e4, s.deadline)
+			jobs = append(jobs, j)
+			if err := c.Start(j, s.share, []int{0}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.CommittedSeconds(0, 1000); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: CommittedSeconds = %v, want %v (ID order, same-ID jobs in start order)", trial, got, want)
+		}
+		victims := c.Fail(0)
+		if len(victims) != 3 || victims[0] != jobs[1] || victims[1] != jobs[0] || victims[2] != jobs[2] {
+			t.Fatalf("trial %d: Fail victims out of ID-then-start order", trial)
+		}
+	}
+
+	// Jobs finishing in the same instant complete in job-ID order, same-ID
+	// jobs in start order. Started in descending ID order, pairs sharing
+	// an ID, so the retirement sort has real work to do.
+	const width = 64
+	e := sim.NewEngine()
+	c := NewTimeShared(e, width)
+	var started, finished []*workload.Job
+	for n := 0; n < width; n++ {
+		j := job((width-n)/2, 1, 100, 100)
+		started = append(started, j)
+		if err := c.Start(j, 1, []int{n}, func(j *workload.Job) { finished = append(finished, j) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	byIDThenStart := slices.Clone(started)
+	slices.SortStableFunc(byIDThenStart, func(a, b *workload.Job) int { return a.ID - b.ID })
+	if !slices.Equal(finished, byIDThenStart) {
+		t.Error("jobs finishing together did not complete in ID-then-start order")
 	}
 }
 

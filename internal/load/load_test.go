@@ -166,8 +166,8 @@ func TestRunAgainstSelfHostedTopology(t *testing.T) {
 // counts the deltas the fan-out delivered, and settles its end-of-run lag
 // against the pull endpoint. The engine's final sequence is exactly the
 // ingested event count — jobs decisions plus one final per session —
-// and, absent resyncs, delivered + dropped + lag must account for every
-// sequence number.
+// and, absent resyncs, anchor + delivered + dropped + lag must account
+// for every sequence number.
 func TestRunRiskStreamProbe(t *testing.T) {
 	url, shutdown, err := SelfHost(2)
 	if err != nil {
@@ -205,11 +205,12 @@ func TestRunRiskStreamProbe(t *testing.T) {
 	}
 	if rs.Resyncs == 0 {
 		// Without resync re-anchoring, the sequence space is fully
-		// accounted for: delivered, demonstrably dropped, or still pending
-		// at shutdown.
-		if got := rs.Deltas + rs.DroppedSeen + int64(rs.EndLag); got != int64(rs.EndSeq) {
-			t.Errorf("delivered %d + dropped %d + lag %d = %d, want %d",
-				rs.Deltas, rs.DroppedSeen, rs.EndLag, got, rs.EndSeq)
+		// accounted for: folded into the anchor snapshot (the load may
+		// start before the subscription lands), delivered, demonstrably
+		// dropped, or still pending at shutdown.
+		if got := int64(rs.AnchorSeq) + rs.Deltas + rs.DroppedSeen + int64(rs.EndLag); got != int64(rs.EndSeq) {
+			t.Errorf("anchor %d + delivered %d + dropped %d + lag %d = %d, want %d",
+				rs.AnchorSeq, rs.Deltas, rs.DroppedSeen, rs.EndLag, got, rs.EndSeq)
 		}
 	}
 	if _, err := json.Marshal(res); err != nil {
@@ -280,7 +281,7 @@ func TestRiskProbeScriptedFailures(t *testing.T) {
 	}, `{"seq":1}`)
 	st = settled(startRiskProbe(srv.URL)).finish(srv.Client(), srv.URL)
 	srv.Close()
-	if st.StreamError == "" || st.Snapshots != 1 || st.Deltas != 0 {
+	if st.StreamError == "" || st.Snapshots != 1 || st.AnchorSeq != 1 || st.Deltas != 0 {
 		t.Errorf("malformed delta: %+v, want snapshot counted then a decode error", st)
 	}
 

@@ -11,14 +11,17 @@ import (
 
 // RiskStreamStats is the /v1/risk/stream subscriber probe's summary: what
 // one SSE consumer saw while the load ran. Deltas carry the engine's
-// strictly-increasing sequence numbers, so gaps in the delta stream are
-// exactly the deltas this subscriber lost (dropped on its full buffer, or
-// published before its anchor); resync frames count how often the server
-// re-anchored it. EndLag is how far the consumer's last-seen sequence
-// trailed the engine when the load finished — a loaded stream that keeps
-// up ends with a small lag and few drops.
+// strictly-increasing sequence numbers, so gaps in the delta stream after
+// the anchor snapshot are exactly the deltas this subscriber lost (dropped
+// on its full buffer); resync frames count how often the server
+// re-anchored it. AnchorSeq is the first snapshot's sequence: the events
+// up to it were folded before the subscription landed and arrive inside
+// that snapshot, not as deltas. EndLag is how far the consumer's last-seen
+// sequence trailed the engine when the load finished — a loaded stream
+// that keeps up ends with a small lag and few drops.
 type RiskStreamStats struct {
 	Snapshots   int64  `json:"snapshots"`
+	AnchorSeq   uint64 `json:"anchor_seq"` // sequence of the first snapshot
 	Deltas      int64  `json:"deltas"`
 	Resyncs     int64  `json:"resyncs"`
 	DroppedSeen int64  `json:"dropped_deltas_seen"` // sequence-gap total across the stream
@@ -81,6 +84,9 @@ func startRiskProbe(target string) *riskProbe {
 					return
 				}
 				if ev.Event == streamrisk.EventSnapshot {
+					if st.Snapshots == 0 {
+						st.AnchorSeq = snap.Seq
+					}
 					st.Snapshots++
 				} else {
 					st.Resyncs++
@@ -96,7 +102,7 @@ func startRiskProbe(target string) *riskProbe {
 				}
 				st.Deltas++
 				if d.Seq > st.LastSeq {
-					if st.LastSeq != 0 && d.Seq > st.LastSeq+1 {
+					if st.Snapshots > 0 && d.Seq > st.LastSeq+1 {
 						st.DroppedSeen += int64(d.Seq - st.LastSeq - 1)
 					}
 					st.LastSeq = d.Seq
