@@ -1,10 +1,6 @@
 package scheduler
 
 import (
-	"sort"
-
-	"repro/internal/cluster"
-	"repro/internal/economy"
 	"repro/internal/workload"
 )
 
@@ -14,179 +10,36 @@ import (
 // prior to execution; a job is rejected once its runtime estimate can no
 // longer fit before its deadline (which covers deadlines that lapse while
 // queued), and — under the commodity market model — when its quoted cost
-// exceeds its budget.
+// exceeds its budget. Accepted at its start, a job is charged the price in
+// effect then.
 type backfillPolicy struct {
-	ctx     *Context
-	cluster *cluster.SpaceShared
-	queue   []*workload.Job
-	name    string
+	spaceQueue
 	// less orders the queue by the policy's primary scheduling parameter.
 	less func(a, b *workload.Job) bool
 }
 
 // NewFCFSBF returns First Come First Serve with EASY backfilling.
-func NewFCFSBF(ctx *Context) Policy {
-	return newBackfill(ctx, "FCFS-BF", func(a, b *workload.Job) bool {
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		return a.ID < b.ID
-	})
-}
+func NewFCFSBF(ctx *Context) Policy { return newBackfill(ctx, "FCFS-BF", fcfsLess) }
 
 // NewSJFBF returns Shortest Job First with EASY backfilling (job length is
 // the user estimate — the scheduler never sees actual runtimes).
-func NewSJFBF(ctx *Context) Policy {
-	return newBackfill(ctx, "SJF-BF", func(a, b *workload.Job) bool {
-		if a.Estimate != b.Estimate {
-			return a.Estimate < b.Estimate
-		}
-		return a.ID < b.ID
-	})
-}
+func NewSJFBF(ctx *Context) Policy { return newBackfill(ctx, "SJF-BF", sjfLess) }
 
 // NewEDFBF returns Earliest Deadline First with EASY backfilling.
-func NewEDFBF(ctx *Context) Policy {
-	return newBackfill(ctx, "EDF-BF", func(a, b *workload.Job) bool {
-		if a.AbsDeadline() != b.AbsDeadline() {
-			return a.AbsDeadline() < b.AbsDeadline()
-		}
-		return a.ID < b.ID
-	})
-}
+func NewEDFBF(ctx *Context) Policy { return newBackfill(ctx, "EDF-BF", edfLess) }
 
 func newBackfill(ctx *Context, name string, less func(a, b *workload.Job) bool) Policy {
-	return &backfillPolicy{
-		ctx:     ctx,
-		cluster: newSpaceCluster(ctx),
-		name:    name,
-		less:    less,
-	}
+	b := &backfillPolicy{less: less}
+	b.init(ctx, name, b.schedule)
+	b.chargeAtStart = true
+	return b
 }
 
-func (b *backfillPolicy) Name() string { return b.name }
-
-// Utilization reports the machine's processor utilization so far.
-func (b *backfillPolicy) Utilization() float64 { return b.cluster.Utilization() }
-
-// EarliestAvailable implements AvailabilityEstimator over the space-shared
-// machine's running set.
-func (b *backfillPolicy) EarliestAvailable(procs int) (float64, error) {
-	return spaceEarliest(b.cluster, procs)
-}
-
-func (b *backfillPolicy) Submit(j *workload.Job) {
-	b.queue = append(b.queue, j)
-	b.schedule()
-}
-
-func (b *backfillPolicy) Drain() {
-	// The scheduling loop runs at every completion, and an empty machine
-	// fits any job, so a job still queued when the event queue empties has
-	// already failed admission — or, under fault injection, is a requeued
-	// failure victim the shrunken machine could never restart.
-	now := float64(b.ctx.Engine.Now())
-	for _, j := range b.queue {
-		writeOff(b.ctx.Collector, j, now)
-	}
-	b.queue = nil
-}
-
-// NodeDown fails a node: its resident job (if any) is requeued for a full
-// restart and faces admission again — if its estimate no longer fits before
-// its deadline, the purge writes it off as killed.
-func (b *backfillPolicy) NodeDown(node int) {
-	if victim := b.cluster.Fail(node); victim != nil {
-		b.queue = append(b.queue, victim)
-	}
-	b.schedule()
-}
-
-// NodeUp repairs a node; the restored capacity may start queued jobs.
-func (b *backfillPolicy) NodeUp(node int) {
-	b.cluster.Repair(node)
-	b.schedule()
-}
-
-// admissible applies the generous admission control at time now.
-func (b *backfillPolicy) admissible(j *workload.Job, now float64) bool {
-	if now+j.Estimate > j.AbsDeadline() {
-		return false
-	}
-	if b.ctx.Model == economy.Commodity &&
-		economy.BaseCharge(j.Estimate, b.ctx.PriceAt(now)) > j.Budget {
-		return false
-	}
-	return true
-}
-
-// start accepts and begins executing a queued job.
-func (b *backfillPolicy) start(j *workload.Job) {
-	now := float64(b.ctx.Engine.Now())
-	b.ctx.Collector.Accepted(j)
-	b.ctx.Collector.Started(j, now)
-	if err := b.cluster.Start(j, b.onFinish); err != nil {
-		panic(err) // callers verified CanStart
-	}
-}
-
-func (b *backfillPolicy) onFinish(j *workload.Job) {
-	now := float64(b.ctx.Engine.Now())
-	var utility float64
-	switch b.ctx.Model {
-	case economy.Commodity:
-		// Charged at the price in effect when the job was accepted (its
-		// start instant under the generous admission control).
-		utility = economy.BaseCharge(j.Estimate, b.ctx.PriceAt(b.ctx.Collector.Outcome(j).StartTime))
-	case economy.BidBased:
-		utility = economy.BidUtility(j, now)
-	}
-	b.ctx.Collector.Finished(j, now, utility)
-	b.schedule()
-}
-
-// schedule runs one EASY pass: purge inadmissible jobs, start the highest
-// priority job while it fits, then backfill lower-priority jobs that fit
-// now and finish (per estimate) before the head job's reservation.
+// schedule purges the jobs that can no longer pass admission — a failure
+// victim whose restart window closed is written off as killed — and runs
+// one EASY pass. Admissibility depends only on the job and the instant, so
+// no job becomes inadmissible during the pass.
 func (b *backfillPolicy) schedule() {
-	now := float64(b.ctx.Engine.Now())
-	b.purge(now)
-	sort.SliceStable(b.queue, func(i, k int) bool { return b.less(b.queue[i], b.queue[k]) })
-	for len(b.queue) > 0 && b.cluster.CanStart(b.queue[0].Procs) {
-		b.start(b.queue[0])
-		b.queue = b.queue[1:]
-		b.purge(now)
-	}
-	if len(b.queue) <= 1 {
-		return
-	}
-	head := b.queue[0]
-	resTime, err := b.cluster.EarliestAvailable(head.Procs)
-	if err != nil {
-		panic(err) // width was validated against the machine at Run
-	}
-	kept := b.queue[:1]
-	for _, j := range b.queue[1:] {
-		if b.cluster.CanStart(j.Procs) && float64(b.ctx.Engine.Now())+j.Estimate <= float64(resTime) {
-			b.start(j)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	b.queue = kept
-}
-
-// purge writes off every queued job that can no longer pass admission:
-// plain rejection for jobs never accepted, a kill for requeued failure
-// victims whose restart window has closed.
-func (b *backfillPolicy) purge(now float64) {
-	kept := b.queue[:0]
-	for _, j := range b.queue {
-		if b.admissible(j, now) {
-			kept = append(kept, j)
-			continue
-		}
-		writeOff(b.ctx.Collector, j, now)
-	}
-	b.queue = kept
+	b.purge(float64(b.ctx.Engine.Now()))
+	b.easy(b.less)
 }

@@ -2,11 +2,6 @@ package scheduler
 
 import (
 	"math"
-	"sort"
-
-	"repro/internal/cluster"
-	"repro/internal/economy"
-	"repro/internal/workload"
 )
 
 // conservative implements conservative backfilling (Mu'alem & Feitelson):
@@ -16,68 +11,16 @@ import (
 // ablation compares against. It uses the same generous admission control
 // and accounting as the EASY policies.
 type conservative struct {
-	ctx     *Context
-	cluster *cluster.SpaceShared
-	queue   []*workload.Job
+	spaceQueue
 }
 
 // NewFCFSConservative returns First Come First Serve with conservative
 // backfilling.
 func NewFCFSConservative(ctx *Context) Policy {
-	return &conservative{
-		ctx:     ctx,
-		cluster: newSpaceCluster(ctx),
-	}
-}
-
-func (c *conservative) Name() string { return "FCFS-CONS" }
-
-// Utilization reports the machine's processor utilization so far.
-func (c *conservative) Utilization() float64 { return c.cluster.Utilization() }
-
-// EarliestAvailable implements AvailabilityEstimator over the space-shared
-// machine's running set.
-func (c *conservative) EarliestAvailable(procs int) (float64, error) {
-	return spaceEarliest(c.cluster, procs)
-}
-
-func (c *conservative) Submit(j *workload.Job) {
-	c.queue = append(c.queue, j)
-	c.schedule()
-}
-
-func (c *conservative) Drain() {
-	now := float64(c.ctx.Engine.Now())
-	for _, j := range c.queue {
-		writeOff(c.ctx.Collector, j, now)
-	}
-	c.queue = nil
-}
-
-// NodeDown fails a node: its resident job is requeued for a full restart
-// and faces admission again.
-func (c *conservative) NodeDown(node int) {
-	if victim := c.cluster.Fail(node); victim != nil {
-		c.queue = append(c.queue, victim)
-	}
-	c.schedule()
-}
-
-// NodeUp repairs a node; the restored capacity may start queued jobs.
-func (c *conservative) NodeUp(node int) {
-	c.cluster.Repair(node)
-	c.schedule()
-}
-
-func (c *conservative) admissible(j *workload.Job, now float64) bool {
-	if now+j.Estimate > j.AbsDeadline() {
-		return false
-	}
-	if c.ctx.Model == economy.Commodity &&
-		economy.BaseCharge(j.Estimate, c.ctx.PriceAt(now)) > j.Budget {
-		return false
-	}
-	return true
+	c := &conservative{}
+	c.init(ctx, "FCFS-CONS", c.schedule)
+	c.chargeAtStart = true
+	return c
 }
 
 // schedule replans all reservations from scratch in FCFS order against the
@@ -86,34 +29,10 @@ func (c *conservative) admissible(j *workload.Job, now float64) bool {
 // estimates compress the plan without ever pushing a reservation later.
 func (c *conservative) schedule() {
 	now := float64(c.ctx.Engine.Now())
-	// Purge jobs that can no longer meet their deadline (failure victims
-	// whose restart window closed are written off as killed).
+	c.purge(now)
+	sortJobs(c.queue, fcfsLess)
+	prof := c.runningProfile(now)
 	kept := c.queue[:0]
-	for _, j := range c.queue {
-		if c.admissible(j, now) {
-			kept = append(kept, j)
-			continue
-		}
-		writeOff(c.ctx.Collector, j, now)
-	}
-	c.queue = kept
-	sort.SliceStable(c.queue, func(i, k int) bool {
-		if c.queue[i].Submit != c.queue[k].Submit {
-			return c.queue[i].Submit < c.queue[k].Submit
-		}
-		return c.queue[i].ID < c.queue[k].ID
-	})
-
-	prof := newProfile(now, c.cluster.Nodes(), c.cluster.FreeProcs())
-	for _, sj := range c.cluster.Running() {
-		end := float64(sj.EstEnd)
-		if end < now {
-			end = now // overrun jobs believed to finish imminently
-		}
-		prof.addRelease(end, sj.Job.Procs)
-	}
-
-	kept = c.queue[:0]
 	for _, j := range c.queue {
 		t := prof.earliest(now, j.Estimate, j.Procs)
 		if t <= now && c.cluster.CanStart(j.Procs) {
@@ -135,26 +54,4 @@ func (c *conservative) schedule() {
 		kept = append(kept, j)
 	}
 	c.queue = kept
-}
-
-func (c *conservative) start(j *workload.Job) {
-	now := float64(c.ctx.Engine.Now())
-	c.ctx.Collector.Accepted(j)
-	c.ctx.Collector.Started(j, now)
-	if err := c.cluster.Start(j, c.onFinish); err != nil {
-		panic(err)
-	}
-}
-
-func (c *conservative) onFinish(j *workload.Job) {
-	now := float64(c.ctx.Engine.Now())
-	var utility float64
-	switch c.ctx.Model {
-	case economy.Commodity:
-		utility = economy.BaseCharge(j.Estimate, c.ctx.PriceAt(c.ctx.Collector.Outcome(j).StartTime))
-	case economy.BidBased:
-		utility = economy.BidUtility(j, now)
-	}
-	c.ctx.Collector.Finished(j, now, utility)
-	c.schedule()
 }

@@ -21,6 +21,11 @@
 // conservative backfilling (FCFS-CONS), QoPS guaranteed admission, and
 // deadline termination (LibraT).
 //
+// The space-shared policies embed one core, spaceQueue: the machine, the
+// wait queue, fault requeue, drain, the generous admission control, job
+// start and completion accounting, and the EASY pass. Each policy adds
+// only its queue order, when it admits, its pass, and its charge instant.
+//
 // [Specs] is the policy registry: each [Spec] names the policy, the
 // economic models it supports ([ForModel] filters to the five policies a
 // model's figures evaluate), its primary parameter, and a constructor.

@@ -3,7 +3,6 @@ package scheduler
 import (
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/economy"
 	"repro/internal/workload"
 )
@@ -32,10 +31,14 @@ const (
 // of remaining processing time) and start strictly in that order as
 // processors free up — so a newly accepted, more rewarding job delays
 // previously accepted ones.
+//
+// A failure victim is requeued for a restart. It stays outstanding — its
+// penalty exposure still burdens the admission test — and keeps its
+// acceptance; only completion settles it.
 type firstReward struct {
-	ctx     *Context
-	cluster *cluster.SpaceShared
-	queue   []*workload.Job
+	spaceQueue
+	// byReward is the queue order, bound once at construction.
+	byReward func(a, b *workload.Job) bool
 	// outstanding tracks accepted-but-unfinished jobs, whose penalty rates
 	// feed the opportunity-cost sum of the admission test. Kept sorted by
 	// job ID: the sum is a float accumulation, and its rounding must not
@@ -57,13 +60,11 @@ func NewFirstReward(ctx *Context) Policy {
 // NewFirstRewardTuned returns FirstReward with explicit constants; the
 // slack-threshold ablation bench sweeps these.
 func NewFirstRewardTuned(ctx *Context, alpha, discount, threshold float64) Policy {
-	return &firstReward{
-		ctx:       ctx,
-		cluster:   newSpaceCluster(ctx),
-		alpha:     alpha,
-		discount:  discount,
-		threshold: threshold,
-	}
+	f := &firstReward{alpha: alpha, discount: discount, threshold: threshold}
+	f.init(ctx, "FirstReward", f.schedule)
+	f.done = f.finish
+	f.byReward = f.rewardLess
+	return f
 }
 
 // NewFirstRewardBounded returns FirstReward under bounded penalties: both
@@ -74,17 +75,6 @@ func NewFirstRewardBounded(ctx *Context) Policy {
 	p := NewFirstRewardTuned(ctx, firstRewardAlpha, firstRewardDiscount, firstRewardThreshold).(*firstReward)
 	p.bounded = true
 	return p
-}
-
-func (f *firstReward) Name() string { return "FirstReward" }
-
-// Utilization reports the machine's processor utilization so far.
-func (f *firstReward) Utilization() float64 { return f.cluster.Utilization() }
-
-// EarliestAvailable implements AvailabilityEstimator over the space-shared
-// machine's running set.
-func (f *firstReward) EarliestAvailable(procs int) (float64, error) {
-	return spaceEarliest(f.cluster, procs)
 }
 
 // presentValue is PV_i = b_i / (1 + discount·RPT_i) with RPT in hours.
@@ -134,6 +124,15 @@ func (f *firstReward) reward(j *workload.Job) float64 {
 	return (f.alpha*f.presentValue(j, rpt) - (1-f.alpha)*f.opportunityCost(rpt)) / rpt
 }
 
+// rewardLess orders jobs by descending reward, then ID.
+func (f *firstReward) rewardLess(a, b *workload.Job) bool {
+	ra, rb := f.reward(a), f.reward(b)
+	if ra != rb {
+		return ra > rb
+	}
+	return a.ID < b.ID
+}
+
 func (f *firstReward) Submit(j *workload.Job) {
 	rpt := j.Estimate
 	pv := f.presentValue(j, rpt)
@@ -149,60 +148,28 @@ func (f *firstReward) Submit(j *workload.Job) {
 	}
 	f.ctx.Collector.Accepted(j)
 	f.addOutstanding(j)
-	f.queue = append(f.queue, j)
-	f.schedule()
+	f.spaceQueue.Submit(j)
 }
 
+// Drain drops the stranded jobs from the outstanding set and writes them
+// off.
 func (f *firstReward) Drain() {
-	// Without faults accepted jobs always start once the machine empties
-	// (widths are validated against the machine); under fault injection,
-	// jobs wider than the surviving machine can be stranded.
-	now := float64(f.ctx.Engine.Now())
 	for _, j := range f.queue {
 		f.dropOutstanding(j)
-		writeOff(f.ctx.Collector, j, now)
 	}
-	f.queue = nil
-}
-
-// NodeDown fails a node: its resident job is requeued for a restart. The
-// job stays outstanding — its penalty exposure still burdens the admission
-// test — and keeps its acceptance; only completion settles it.
-func (f *firstReward) NodeDown(node int) {
-	if victim := f.cluster.Fail(node); victim != nil {
-		f.queue = append(f.queue, victim)
-	}
-	f.schedule()
-}
-
-// NodeUp repairs a node; the restored capacity may start queued jobs.
-func (f *firstReward) NodeUp(node int) {
-	f.cluster.Repair(node)
-	f.schedule()
+	f.spaceQueue.Drain()
 }
 
 // schedule starts queued jobs strictly in reward order (no backfilling): a
 // blocked head waits for processors even while narrower jobs could fit.
 func (f *firstReward) schedule() {
-	sort.SliceStable(f.queue, func(i, k int) bool {
-		ri, rk := f.reward(f.queue[i]), f.reward(f.queue[k])
-		if ri != rk {
-			return ri > rk
-		}
-		return f.queue[i].ID < f.queue[k].ID
-	})
-	for len(f.queue) > 0 && f.cluster.CanStart(f.queue[0].Procs) {
-		j := f.queue[0]
-		f.queue = f.queue[1:]
-		now := float64(f.ctx.Engine.Now())
-		f.ctx.Collector.Started(j, now)
-		if err := f.cluster.Start(j, f.onFinish); err != nil {
-			panic(err) // CanStart was just verified
-		}
-	}
+	sortJobs(f.queue, f.byReward)
+	f.startHeads()
 }
 
-func (f *firstReward) onFinish(j *workload.Job) {
+// finish settles a completed job at its bid-based utility, bounded when
+// penalties are, and runs the pass.
+func (f *firstReward) finish(j *workload.Job) {
 	now := float64(f.ctx.Engine.Now())
 	f.dropOutstanding(j)
 	utility := economy.BidUtility(j, now)

@@ -2,9 +2,7 @@ package scheduler
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/economy"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -41,15 +39,6 @@ func (ctx *Context) PriceAt(t float64) float64 {
 	return ctx.BasePrice
 }
 
-// newSpaceCluster builds the context's space-shared machine, honoring node
-// ratings when configured.
-func newSpaceCluster(ctx *Context) *cluster.SpaceShared {
-	if len(ctx.NodeRatings) == ctx.Nodes && ctx.Nodes > 0 {
-		return cluster.NewSpaceSharedRated(ctx.Engine, ctx.NodeRatings)
-	}
-	return cluster.NewSpaceShared(ctx.Engine, ctx.Nodes)
-}
-
 // Policy handles job submissions; everything else (queueing, admission,
 // execution, accounting) is the policy's business. Implementations report
 // accept/reject/start/finish through ctx.Collector.
@@ -80,20 +69,6 @@ type UtilizationReporter interface {
 // The federation meta-broker ranks clusters with this estimate.
 type AvailabilityEstimator interface {
 	EarliestAvailable(procs int) (float64, error)
-}
-
-// spaceEarliest adapts the space-shared cluster's availability query to the
-// AvailabilityEstimator contract, translating the cluster's Infinity
-// sentinel into +Inf.
-func spaceEarliest(c *cluster.SpaceShared, procs int) (float64, error) {
-	t, err := c.EarliestAvailable(procs)
-	if err != nil {
-		return 0, err
-	}
-	if t >= sim.Infinity {
-		return math.Inf(1), nil
-	}
-	return float64(t), nil
 }
 
 // FaultInjectable is implemented by policies that can absorb node failure
@@ -225,18 +200,13 @@ func Run(jobs []*workload.Job, factory Factory, cfg RunConfig) (metrics.Report, 
 	if err := cfg.validate(); err != nil {
 		return metrics.Report{}, err
 	}
-	prev := -1.0
+	if err := workload.ValidateAll(jobs); err != nil {
+		return metrics.Report{}, err
+	}
 	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return metrics.Report{}, err
-		}
 		if !j.HasQoS() {
 			return metrics.Report{}, fmt.Errorf("scheduler: job %d has no QoS parameters", j.ID)
 		}
-		if j.Submit < prev {
-			return metrics.Report{}, fmt.Errorf("scheduler: job %d out of submission order", j.ID)
-		}
-		prev = j.Submit
 		if j.Procs > cfg.Nodes {
 			return metrics.Report{}, fmt.Errorf("scheduler: job %d wider (%d) than the machine (%d)", j.ID, j.Procs, cfg.Nodes)
 		}

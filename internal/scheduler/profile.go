@@ -19,8 +19,8 @@ type profile struct {
 
 // newProfile starts a timeline at now with the given free processors,
 // rising to the full machine as nothing else is known yet.
-func newProfile(now float64, total, freeNow int) *profile {
-	return &profile{times: []float64{now}, avail: []int{freeNow}, total: total}
+func newProfile(now float64, total, freeNow int) profile {
+	return profile{times: []float64{now}, avail: []int{freeNow}, total: total}
 }
 
 // segmentAt returns the index of the segment containing time t (t must be
