@@ -97,9 +97,11 @@ type ImportSessionResponse struct {
 	ID string `json:"id"`
 }
 
-// maxJournalBytes bounds an imported journal body. A session journal is a
+// MaxJournalBytes bounds an imported journal body. A session journal is a
 // header plus one short line per submission; 64 MiB is ~100k decisions.
-const maxJournalBytes = 64 << 20
+// The control plane reads worker bodies under the same bound, so any body
+// it accepts is one a worker will import.
+const MaxJournalBytes = 64 << 20
 
 // errorResponse is the JSON error envelope every non-2xx response carries.
 type errorResponse struct {

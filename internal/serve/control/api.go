@@ -39,10 +39,6 @@ type HealthResponse struct {
 	Sessions int    `json:"sessions"`
 }
 
-// maxBodyBytes bounds any body read from a worker; journals are the
-// largest (matching the worker-side import bound).
-const maxBodyBytes = 64 << 20
-
 type errorResponse struct {
 	Error string `json:"error"`
 }

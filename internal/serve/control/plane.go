@@ -3,6 +3,7 @@ package control
 import (
 	"bytes"
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/serve/ring"
 	"repro/internal/streamrisk"
 )
@@ -133,7 +135,15 @@ func (p *Plane) Sessions() int {
 	return len(p.routes)
 }
 
-// do issues one worker request and reads the full response body.
+// errBodyTooLarge reports a worker body past the journal import bound. The
+// worker answered, so this is not a liveness failure, but the body can be
+// neither relayed nor imported whole.
+var errBodyTooLarge = fmt.Errorf("control: worker response body exceeds %d bytes", serve.MaxJournalBytes)
+
+// do issues one worker request and reads the full response body. A body
+// past the journal import bound is an error, never silently truncated: a
+// cut journal would fail its import with a parse error instead of a size
+// error, and a release reply cut short must send moveRoute to the shadow.
 func (p *Plane) do(method, url string, body []byte) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -151,9 +161,12 @@ func (p *Plane) do(method, url string, body []byte) (int, []byte, error) {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	out, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxJournalBytes+1))
 	if err != nil {
 		return 0, nil, err
+	}
+	if len(out) > serve.MaxJournalBytes {
+		return 0, nil, fmt.Errorf("%s %s: %w", method, url, errBodyTooLarge)
 	}
 	return resp.StatusCode, out, nil
 }
@@ -368,13 +381,17 @@ func (p *Plane) recoverRoute(r *route) error {
 
 // forward proxies one session-scoped request to the session's current
 // worker, recovering the session onto a new owner (and retrying once) if
-// the worker does not answer. Caller holds r.mu.
+// the worker does not answer. An oversized body fails the request without
+// recovery: the worker did answer. Caller holds r.mu.
 func (p *Plane) forward(r *route, method, path string, body []byte) (int, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		if url, ok := p.workerURL(r.worker); ok {
 			st, out, err := p.do(method, url+path, body)
 			if err == nil {
 				return st, out, nil
+			}
+			if errors.Is(err, errBodyTooLarge) {
+				return 0, nil, err
 			}
 		}
 		if attempt >= 1 {

@@ -3,9 +3,12 @@ package control
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/qos"
@@ -426,5 +429,68 @@ func TestPlaneValidation(t *testing.T) {
 	mustDo(t, p2.Handler(), http.MethodDelete, "/v1/sessions/"+id, nil, http.StatusOK, nil)
 	if w := do(t, p2.Handler(), http.MethodGet, "/v1/sessions/"+id+"/report", nil); w.Code != http.StatusNotFound {
 		t.Errorf("report after delete: status %d, want 404", w.Code)
+	}
+}
+
+// A release reply past the import bound is an error, never a truncated
+// journal: the worker has already forgotten the session, so moveRoute must
+// fall back to the shadow journal and the session must complete with
+// reference bytes on its new worker.
+func TestPlaneOversizedReleaseFallsBackToShadow(t *testing.T) {
+	inner := serve.New(serve.Config{}).Handler()
+	var releases atomic.Int32
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/release") {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		// Let the worker release (export and forget) the session, then
+		// stream one byte past the bound in place of its journal.
+		inner.ServeHTTP(httptest.NewRecorder(), r)
+		releases.Add(1)
+		w.WriteHeader(http.StatusOK)
+		chunk := bytes.Repeat([]byte{' '}, 1<<16)
+		for left := serve.MaxJournalBytes + 1; left > 0; left -= len(chunk) {
+			if left < len(chunk) {
+				chunk = chunk[:left]
+			}
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(src.Close)
+
+	p := New(Config{})
+	h := p.Handler()
+	mustDo(t, h, http.MethodPost, "/control/v1/workers",
+		RegisterWorkerRequest{Name: "w-1", URL: src.URL}, http.StatusCreated, nil)
+	create := serve.CreateSessionRequest{Policy: "EDF-BF", Model: "commodity"}
+	jobs := testTrace(t, 12, 7)
+	id := createSession(t, p, create)
+	for _, j := range jobs[:6] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+
+	if _, _, err := p.do(http.MethodPost, src.URL+"/worker/v1/sessions/none/release", nil); !errors.Is(err, errBodyTooLarge) {
+		t.Fatalf("oversized body: err = %v, want errBodyTooLarge", err)
+	}
+	dst := newWorker(t)
+	mustDo(t, h, http.MethodPost, "/control/v1/workers",
+		RegisterWorkerRequest{Name: "w-2", URL: dst.URL}, http.StatusCreated, nil)
+	mustDo(t, h, http.MethodPost, "/control/v1/workers/w-1/drain", nil, http.StatusOK, nil)
+	if owner := ownerOf(t, p, id); owner != "w-2" {
+		t.Fatalf("session on %s after drain, want w-2", owner)
+	}
+	if releases.Load() < 2 {
+		t.Fatalf("source saw %d oversized releases, want the probe and the move", releases.Load())
+	}
+	for _, j := range jobs[6:] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	rep, jr := finishSession(t, h, id)
+	repRef, jrRef := referenceRun(t, id, create, jobs)
+	if !bytes.Equal(rep, repRef) || !bytes.Equal(jr, jrRef) {
+		t.Errorf("migrated session diverged from the reference run:\nreport  %s\nwant    %s", rep, repRef)
 	}
 }

@@ -478,7 +478,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "worker is draining; no session imports")
 		return
 	}
-	journal, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJournalBytes))
+	journal, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJournalBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading journal body: %v", err)
 		return
