@@ -40,7 +40,7 @@ func BenchmarkTimeSharedChurn(b *testing.B) {
 		runtime := 20 + g.float()*200
 		share := 0.1 + g.float()*0.4
 		deadline := runtime * (0.8 + g.float()) // ~20% lapse before completing
-		e.MustSchedule(sim.Time(at), "submit", func() {
+		e.MustSchedule(sim.Time(at), func() {
 			cand := ts.CandidateNodes(share)
 			if len(cand) < procs {
 				return

@@ -157,7 +157,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 	}
 	for i, j := range sc.jobs {
 		j, share := j, sc.shares[i]
-		e.MustSchedule(sim.Time(j.Submit), "diff submit", func() {
+		e.MustSchedule(sim.Time(j.Submit), func() {
 			cand := impl.CandidateNodes(share)
 			if len(cand) < j.Procs {
 				rec("reject %d cand=%v", j.ID, cand)
@@ -175,7 +175,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 	for _, fe := range sc.events {
 		fe := fe
 		if fe.Down {
-			e.MustSchedule(sim.Time(fe.Time), "diff fail", func() {
+			e.MustSchedule(sim.Time(fe.Time), func() {
 				victims := impl.Fail(fe.Node)
 				ids := make([]int, len(victims))
 				for k, v := range victims {
@@ -185,7 +185,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 				candidates("fail")
 			})
 		} else {
-			e.MustSchedule(sim.Time(fe.Time), "diff repair", func() {
+			e.MustSchedule(sim.Time(fe.Time), func() {
 				impl.Repair(fe.Node)
 				rec("repair %d at=%s", fe.Node, tbits(e.Now()))
 				candidates("repair")
@@ -194,7 +194,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 	}
 	for k := 1; k <= 10; k++ {
 		at := diffHorizon * float64(k) / 10
-		e.MustSchedule(sim.Time(at), "diff probe", func() {
+		e.MustSchedule(sim.Time(at), func() {
 			candidates("probe")
 			for i := 0; i < diffNodes; i++ {
 				rec("free %d %s committed %s", i,
@@ -244,7 +244,7 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 	}
 	for _, j := range sc.jobs {
 		j := j
-		e.MustSchedule(sim.Time(j.Submit), "diff submit", func() {
+		e.MustSchedule(sim.Time(j.Submit), func() {
 			if !impl.CanStart(j.Procs) {
 				// The backfilling question a queued job asks: when could I
 				// reserve, and how much is free then?
@@ -262,7 +262,7 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 	for _, fe := range sc.events {
 		fe := fe
 		if fe.Down {
-			e.MustSchedule(sim.Time(fe.Time), "diff fail", func() {
+			e.MustSchedule(sim.Time(fe.Time), func() {
 				victim := impl.Fail(fe.Node)
 				id := 0
 				if victim != nil {
@@ -271,7 +271,7 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 				rec("fail %d at=%s victim=%d", fe.Node, tbits(e.Now()), id)
 			})
 		} else {
-			e.MustSchedule(sim.Time(fe.Time), "diff repair", func() {
+			e.MustSchedule(sim.Time(fe.Time), func() {
 				impl.Repair(fe.Node)
 				rec("repair %d at=%s", fe.Node, tbits(e.Now()))
 			})
@@ -279,7 +279,7 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 	}
 	for k := 1; k <= 10; k++ {
 		at := diffHorizon * float64(k) / 10
-		e.MustSchedule(sim.Time(at), "diff probe", func() {
+		e.MustSchedule(sim.Time(at), func() {
 			rec("probe free=%d util=%s", impl.FreeProcs(), fbits(impl.Utilization()))
 			widths := make([]int, diffNodes)
 			for w := 1; w <= diffNodes; w++ {

@@ -81,7 +81,7 @@ func TestSpaceSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 			at := sim.Time(rng.Float64() * 800)
 			procs := 1 + rng.Intn(4)
 			runtime := 10 + rng.Float64()*200
-			e.MustSchedule(at, "submit", func() {
+			e.MustSchedule(at, func() {
 				j := job(id, procs, runtime, runtime)
 				if !c.CanStart(j.Procs) {
 					return
@@ -98,7 +98,7 @@ func TestSpaceSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 			tm := rng.Float64() * 300
 			for fail := true; tm < 1000; fail = !fail {
 				isFail := fail
-				e.MustSchedule(sim.Time(tm), "fault", func() {
+				e.MustSchedule(sim.Time(tm), func() {
 					if isFail {
 						down[node] = true
 						if victim := c.Fail(node); victim != nil {
@@ -172,7 +172,7 @@ func TestTimeSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 			procs := 1 + rng.Intn(3)
 			runtime := 10 + rng.Float64()*150
 			share := 0.2 + rng.Float64()*0.5
-			e.MustSchedule(at, "submit", func() {
+			e.MustSchedule(at, func() {
 				j := job(id, procs, runtime, runtime)
 				cand := c.CandidateNodes(share)
 				if len(cand) < j.Procs {
@@ -190,7 +190,7 @@ func TestTimeSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 			tm := rng.Float64() * 200
 			for fail := true; tm < 800; fail = !fail {
 				isFail := fail
-				e.MustSchedule(sim.Time(tm), "fault", func() {
+				e.MustSchedule(sim.Time(tm), func() {
 					if isFail {
 						down[node] = true
 						killed += len(c.Fail(node))

@@ -24,7 +24,7 @@ func TestBookingLapsesAtDeadline(t *testing.T) {
 	if err := c.Start(j, 0.5, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(99, "before lapse", func() {
+	e.MustSchedule(99, func() {
 		if c.FreeShare(0) != 0.5 {
 			t.Errorf("free share before lapse = %v, want 0.5", c.FreeShare(0))
 		}
@@ -32,7 +32,7 @@ func TestBookingLapsesAtDeadline(t *testing.T) {
 			t.Error("lapsed before deadline")
 		}
 	})
-	e.MustSchedule(101, "after lapse", func() {
+	e.MustSchedule(101, func() {
 		if c.FreeShare(0) != 1.0 {
 			t.Errorf("free share after lapse = %v, want 1.0 (booking released)", c.FreeShare(0))
 		}
@@ -59,7 +59,7 @@ func TestLapsedJobSqueezedByNewBooking(t *testing.T) {
 	// At t=200 a new job books 0.9 — admissible because the lapsed booking
 	// no longer counts.
 	j2 := djob(2, 1, 200, 90, 90, 100)
-	e.MustSchedule(200, "submit j2", func() {
+	e.MustSchedule(200, func() {
 		if got := c.FreeShare(0); got != 1.0 {
 			t.Fatalf("free share = %v, want 1.0", got)
 		}
@@ -100,7 +100,7 @@ func TestOverCommitmentBreaksGuarantee(t *testing.T) {
 	// admissible because job 1's booking lapsed. Node weight = 1.0 + 0.5,
 	// so job 2 runs at 1/1.5 < 1 and finishes after its deadline.
 	j2 := djob(2, 1, 20, 100, 100, 100)
-	e.MustSchedule(20, "submit j2", func() {
+	e.MustSchedule(20, func() {
 		if err := c.Start(j2, 1.0, []int{0}, done); err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestCommittedSecondsIgnoresLapsed(t *testing.T) {
 	if err := c.Start(djob(1, 1, 0, 10000, 5, 10), 0.5, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(50, "probe", func() {
+	e.MustSchedule(50, func() {
 		if got := c.CommittedSeconds(0, 100); got != 0 {
 			t.Errorf("CommittedSeconds = %v with only a lapsed job, want 0", got)
 		}
@@ -179,7 +179,7 @@ func TestNoDeadlineJobsNeverLapse(t *testing.T) {
 	if err := c.Start(j, 0.5, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(400, "probe", func() {
+	e.MustSchedule(400, func() {
 		if c.Lookup(j).Lapsed() {
 			t.Error("deadline-less job lapsed")
 		}
@@ -203,7 +203,7 @@ func TestKillReleasesResources(t *testing.T) {
 	if err := c.Start(j, 0.5, []int{0, 1}, func(*workload.Job) { done = true }); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(40, "kill", func() {
+	e.MustSchedule(40, func() {
 		if err := c.Kill(j); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestKillLapsedJob(t *testing.T) {
 	if err := c.Start(j, 0.5, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(50, "kill lapsed", func() {
+	e.MustSchedule(50, func() {
 		if !c.Lookup(j).Lapsed() {
 			t.Fatal("job not lapsed yet")
 		}

@@ -141,7 +141,6 @@ func (t *refTimeShared) Start(j *workload.Job, share float64, nodes []int, done 
 	if j.Deadline > 0 {
 		tj.lapseEv = t.engine.MustSchedule(
 			sim.Time(math.Max(j.AbsDeadline(), float64(t.engine.Now()))),
-			"ref lapse booking",
 			func() { t.onLapse(tj) },
 		)
 	}
@@ -288,7 +287,7 @@ func (t *refTimeShared) recompute() {
 			soonest = eta
 		}
 	}
-	t.next = t.engine.MustSchedule(soonest, "ref timeshared completion", t.onCompletion)
+	t.next = t.engine.MustSchedule(soonest, t.onCompletion)
 }
 
 func (t *refTimeShared) onCompletion() {
@@ -428,7 +427,7 @@ func (s *refSpaceShared) Start(j *workload.Job, done func(*workload.Job)) error 
 	s.free -= j.Procs
 	s.busyProcs += j.Procs
 	s.running[j] = sj
-	sj.ev = s.engine.MustSchedule(sj.actualEnd, "ref spaceshared completion", func() {
+	sj.ev = s.engine.MustSchedule(sj.actualEnd, func() {
 		s.accrue()
 		s.release(sj)
 		if done != nil {

@@ -209,7 +209,7 @@ func (s *SpaceShared) Start(j *workload.Job, done func(finished *workload.Job)) 
 	s.running[j] = sj
 	s.insertByEnd(sj)
 	sj.done = done
-	sj.ev = s.engine.MustSchedule(sj.ActualEnd, "spaceshared completion", func() {
+	sj.ev = s.engine.MustSchedule(sj.ActualEnd, func() {
 		s.accrue()
 		s.release(sj)
 		if done != nil {

@@ -108,7 +108,7 @@ func TestSpaceSharedOverrunBelievedImminent(t *testing.T) {
 	if err := c.Start(job(1, 4, 100, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(50, "probe", func() {
+	e.MustSchedule(50, func() {
 		at, err := c.EarliestAvailable(4)
 		if err != nil {
 			t.Errorf("EarliestAvailable: %v", err)
@@ -174,12 +174,12 @@ func TestSpaceSharedUtilization(t *testing.T) {
 	if err := c.Start(job(1, 2, 100, 100), nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(100, "probe", func() {
+	e.MustSchedule(100, func() {
 		if got := c.Utilization(); math.Abs(got-0.5) > 1e-9 {
 			t.Errorf("utilization at t=100 = %v, want 0.5", got)
 		}
 	})
-	e.MustSchedule(200, "probe2", func() {
+	e.MustSchedule(200, func() {
 		if got := c.Utilization(); math.Abs(got-0.25) > 1e-9 {
 			t.Errorf("utilization at t=200 = %v, want 0.25", got)
 		}
@@ -251,7 +251,7 @@ func TestSpaceSharedRatedReleasesCorrectNodes(t *testing.T) {
 	if err := c.Start(job(2, 1, 50, 50), nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(30, "probe", func() {
+	e.MustSchedule(30, func() {
 		if c.FreeProcs() != 2 {
 			t.Errorf("free at t=30 = %d, want 2 (fast nodes released)", c.FreeProcs())
 		}

@@ -378,7 +378,6 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 	if j.Deadline > 0 {
 		tj.lapseEv = t.engine.MustSchedule(
 			sim.Time(math.Max(j.AbsDeadline(), float64(t.engine.Now()))),
-			"lapse booking",
 			func() { t.onLapse(tj) },
 		)
 	}
@@ -600,7 +599,7 @@ func (t *TimeShared) recompute() {
 			soonest = eta
 		}
 	}
-	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.complete)
+	t.next = t.engine.MustSchedule(soonest, t.complete)
 }
 
 // onCompletion retires every job whose work is done, then reschedules.

@@ -264,7 +264,7 @@ func TestTimeSharedOverrunDetection(t *testing.T) {
 	if err := c.Start(j, 1.0, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(25, "before overrun", func() {
+	e.MustSchedule(25, func() {
 		if c.NodeHasOverrun(0) {
 			t.Error("overrun reported at t=25, estimate is 50")
 		}
@@ -272,7 +272,7 @@ func TestTimeSharedOverrunDetection(t *testing.T) {
 			t.Errorf("progress = %v at t=25, want 25", tj.Progress())
 		}
 	})
-	e.MustSchedule(75, "after overrun", func() {
+	e.MustSchedule(75, func() {
 		if !c.NodeHasOverrun(0) {
 			t.Error("no overrun reported at t=75, estimate was 50")
 		}
@@ -301,7 +301,7 @@ func TestTimeSharedGuaranteeProperty(t *testing.T) {
 		nextID := 1
 		var submit func(at sim.Time)
 		submit = func(at sim.Time) {
-			e.MustSchedule(at, "submit", func() {
+			e.MustSchedule(at, func() {
 				id := nextID
 				nextID++
 				runtime := 10 + rng.Float64()*200
@@ -352,7 +352,7 @@ func TestTimeSharedConservationProperty(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			at := sim.Time(rng.Float64() * 500)
 			id := i + 1
-			e.MustSchedule(at, "submit", func() {
+			e.MustSchedule(at, func() {
 				share := 0.05 + rng.Float64()*0.5
 				procs := 1 + rng.Intn(4)
 				nodes := c.CandidateNodes(share)
@@ -398,7 +398,7 @@ func TestTimeSharedUtilization(t *testing.T) {
 	if err := c.Start(job(1, 1, 100, 100), 0.5, []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(100, "probe", func() {
+	e.MustSchedule(100, func() {
 		if got := c.Utilization(); math.Abs(got-0.5) > 1e-9 {
 			t.Errorf("utilization at t=100 = %v, want 0.5", got)
 		}

@@ -221,8 +221,7 @@ func (l *libraPolicy) Submit(j *workload.Job) {
 		panic(err) // candidates were verified to hold the share
 	}
 	if l.terminate {
-		l.ctx.Engine.MustSchedule(sim.Time(j.AbsDeadline()),
-			"terminate at deadline", func() { l.kill(j) })
+		l.ctx.Engine.MustSchedule(sim.Time(j.AbsDeadline()), func() { l.kill(j) })
 	}
 }
 

@@ -37,7 +37,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			return
 		}
 		remaining--
-		e.MustSchedule(e.Now()+1, "bench", spawn)
+		e.MustSchedule(e.Now()+1, spawn)
 	}
 	b.ResetTimer()
 	spawn()
@@ -60,7 +60,7 @@ func BenchmarkEngineSteadyWave(b *testing.B) {
 			return
 		}
 		remaining--
-		e.MustSchedule(e.Now()+1, "wave", spawn)
+		e.MustSchedule(e.Now()+1, spawn)
 	}
 	b.ResetTimer()
 	for i := 0; i < depth && remaining > 0; i++ {
@@ -80,11 +80,11 @@ func BenchmarkEngineCancel(b *testing.B) {
 	e := NewEngine()
 	var g lcg = 7
 	for i := 0; i < depth; i++ {
-		e.MustSchedule(Time(1e9+g.float()*1e9), "background", func() {})
+		e.MustSchedule(Time(1e9+g.float()*1e9), func() {})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := e.MustSchedule(Time(1+g.float()*1e6), "victim", func() {})
+		ev := e.MustSchedule(Time(1+g.float()*1e6), func() {})
 		e.Cancel(ev)
 	}
 }
@@ -105,7 +105,7 @@ func BenchmarkEngineMixedHeap(b *testing.B) {
 		}
 		base := e.Now()
 		for i := 0; i < batch; i++ {
-			e.MustSchedule(base+Time(g.float()*1000), "mixed", func() {})
+			e.MustSchedule(base+Time(g.float()*1000), func() {})
 		}
 		e.Run()
 		done += batch

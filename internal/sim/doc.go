@@ -1,11 +1,22 @@
 // Package sim provides a minimal deterministic discrete event simulation
 // kernel: a virtual clock and a priority queue of timestamped events.
 //
-// The kernel is intentionally small. Entities (clusters, schedulers,
-// workload feeders) schedule callbacks at future virtual times; the engine
-// dispatches them in (time, sequence) order so that runs are bit-for-bit
-// reproducible regardless of map iteration or goroutine scheduling. A single
-// simulation runs on one goroutine; parallelism in this repository happens
+// The kernel is intentionally small: one way to schedule (MustSchedule),
+// one way to cancel (Cancel), and one way to bring the clock to a chosen
+// instant (AdvanceTo, which dispatches every event strictly before it);
+// Run drains the queue and Step dispatches a single event. Entities (clusters, schedulers) schedule
+// callbacks at future virtual times; the engine dispatches them in (time,
+// sequence) order so that runs are bit-for-bit reproducible regardless of
+// map iteration or goroutine scheduling.
+//
+// Workload arrivals are not events. A driver that receives a job at time
+// t calls AdvanceTo(t) and then hands the job to its policy directly; the
+// job lands after everything before t and ahead of everything due at t,
+// which is where an arrival scheduled up front would have fired. That is
+// what lets a request-at-a-time session reproduce a batch run byte for
+// byte without the kernel knowing about arrivals at all.
+//
+// A single simulation runs on one goroutine; parallelism in this repository happens
 // across simulations, not inside one — experiment.Run fans a suite out as
 // (cell, replication) units over a worker pool, each unit owning a private
 // Engine, and reduces the results in a fixed order (see
@@ -13,19 +24,16 @@
 //
 // # Performance model
 //
-// The kernel is the innermost loop of every simulation, so it holds three
+// The kernel is the innermost loop of every simulation, so it holds two
 // invariants (measured by the BenchmarkEngine* benches and pinned by the
 // BENCH_<n>.json trajectory):
 //
 //   - Zero steady-state allocations. Event records live on a per-engine
 //     free list; firing or cancelling an event recycles its record, and the
-//     next Schedule reuses it. Only heap/pool growth allocates.
+//     next MustSchedule reuses it. Only heap/pool growth allocates.
 //   - No interface dispatch on the hot path. The priority queue is a
 //     concrete binary heap over *event with inlined (time, seq) comparisons
 //     rather than container/heap's interface-driven sift.
-//   - Labels are static strings. Schedule takes the label by value and
-//     never formats it; call sites must not build labels with fmt.Sprintf
-//     in hot paths (the label is diagnostic only).
 //
 // Recycling is safe against stale handles: Event is a value handle carrying
 // a generation number, and every recycle bumps the record's generation, so

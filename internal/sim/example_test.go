@@ -10,16 +10,16 @@ import (
 // order.
 func Example() {
 	engine := sim.NewEngine()
-	engine.MustSchedule(10, "greet", func() {
+	engine.MustSchedule(10, func() {
 		fmt.Printf("t=%v: job arrives\n", engine.Now())
-		engine.After(5, "finish", func() {
+		engine.MustSchedule(engine.Now()+5, func() {
 			fmt.Printf("t=%v: job finishes\n", engine.Now())
 		})
 	})
-	timeout := engine.MustSchedule(100, "timeout", func() {
+	timeout := engine.MustSchedule(100, func() {
 		fmt.Println("timeout fired (should not happen)")
 	})
-	engine.MustSchedule(20, "cancel", func() { engine.Cancel(timeout) })
+	engine.MustSchedule(20, func() { engine.Cancel(timeout) })
 	engine.Run()
 	fmt.Printf("fired %d events\n", engine.Fired())
 	// Output:

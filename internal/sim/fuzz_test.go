@@ -10,7 +10,7 @@ import "testing"
 //     position and the (time, seq) heap property holds after every op;
 //   - pool safety: a cancelled event never fires, a fired or cancelled
 //     handle cannot cancel again (even after its record is recycled for a
-//     newer event), and handle metadata (Time, Label) survives recycling.
+//     newer event), and a stale handle never reports pending.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 1, 5, 2, 0})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 1, 2, 1, 3, 3, 3})
@@ -21,7 +21,6 @@ func FuzzEngine(f *testing.F) {
 		type tracked struct {
 			ev        Event
 			id        int
-			at        Time
 			cancelled bool
 			fired     int
 		}
@@ -48,16 +47,16 @@ func FuzzEngine(f *testing.F) {
 		}
 
 		schedule := func(at Time, chain bool) {
-			tr := &tracked{id: len(events), at: at}
-			tr.ev = e.MustSchedule(at, "fuzz", func() {
+			tr := &tracked{id: len(events)}
+			tr.ev = e.MustSchedule(at, func() {
 				tr.fired++
 				fired = append(fired, firing{e.Now(), tr.id})
 				if chain && len(events) < 4*len(data)+8 {
 					// Reentrant scheduling from a handler, same instant:
 					// must fire later in the same batch, after every
 					// previously scheduled same-time event.
-					inner := &tracked{id: len(events), at: e.Now()}
-					inner.ev = e.MustSchedule(e.Now(), "fuzz", func() {
+					inner := &tracked{id: len(events)}
+					inner.ev = e.MustSchedule(e.Now(), func() {
 						inner.fired++
 						fired = append(fired, firing{e.Now(), inner.id})
 					})
@@ -114,17 +113,13 @@ func FuzzEngine(f *testing.F) {
 				t.Fatalf("event %d fired %d times, want %d (cancelled=%v)", tr.id, tr.fired, want, tr.cancelled)
 			}
 			// Pool safety after the run: every record has been recycled
-			// (possibly many times over), yet the handle still reports its
-			// own history and metadata, and cannot cancel anybody.
-			if !tr.ev.Cancelled() || tr.ev.Pending() {
-				t.Fatalf("event %d: Cancelled=%v Pending=%v after run", tr.id, tr.ev.Cancelled(), tr.ev.Pending())
+			// (possibly many times over), yet the handle still reports
+			// itself done and cannot cancel anybody.
+			if tr.ev.Pending() {
+				t.Fatalf("event %d: Pending after run", tr.id)
 			}
 			if e.Cancel(tr.ev) {
 				t.Fatalf("stale handle %d cancelled something after the run", tr.id)
-			}
-			if tr.ev.Time() != tr.at || tr.ev.Label() != "fuzz" {
-				t.Fatalf("event %d: handle metadata corrupted by recycling: at=%v label=%q",
-					tr.id, tr.ev.Time(), tr.ev.Label())
 			}
 		}
 		if e.Pending() != 0 {

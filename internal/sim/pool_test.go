@@ -9,11 +9,8 @@ import "testing"
 
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	e := NewEngine()
-	ev := e.MustSchedule(1, "fires", func() {})
+	ev := e.MustSchedule(1, func() {})
 	e.Run()
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after the event fired")
-	}
 	if ev.Pending() {
 		t.Error("Pending() = true after the event fired")
 	}
@@ -24,7 +21,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 
 func TestDoubleCancelIsNoOp(t *testing.T) {
 	e := NewEngine()
-	ev := e.MustSchedule(1, "victim", func() { t.Error("cancelled event fired") })
+	ev := e.MustSchedule(1, func() { t.Error("cancelled event fired") })
 	if !e.Cancel(ev) {
 		t.Fatal("first Cancel returned false")
 	}
@@ -37,16 +34,16 @@ func TestDoubleCancelIsNoOp(t *testing.T) {
 }
 
 // TestStaleHandleDoesNotCancelReusedRecord is the core pool-safety property:
-// after an event fires, its record is recycled for the next Schedule; the
+// after an event fires, its record is recycled for the next MustSchedule; the
 // old handle must not be able to cancel the new occupant.
 func TestStaleHandleDoesNotCancelReusedRecord(t *testing.T) {
 	e := NewEngine()
-	first := e.MustSchedule(1, "first", func() {})
+	first := e.MustSchedule(1, func() {})
 	e.Run()
 
 	// The pool has exactly one free record, so this reuses first's record.
 	secondFired := false
-	second := e.MustSchedule(2, "second", func() { secondFired = true })
+	second := e.MustSchedule(2, func() { secondFired = true })
 	if second.Pending() != true {
 		t.Fatal("second event not pending after schedule")
 	}
@@ -60,23 +57,24 @@ func TestStaleHandleDoesNotCancelReusedRecord(t *testing.T) {
 	if !secondFired {
 		t.Error("second event never fired")
 	}
-	if first.Cancelled() != true {
-		t.Error("stale handle stopped reporting Cancelled after reuse")
+	if first.Pending() {
+		t.Error("stale handle reports Pending after its record was reused")
 	}
 }
 
-// TestHandleMetadataSurvivesRecycle pins that Time and Label are handle
-// state, not record state: they stay readable after the record is reused.
+// TestHandleMetadataSurvivesRecycle pins that a handle's generation is
+// handle state, not record state: while its record is reused by a newer,
+// still-queued event, the old handle keeps reporting not pending.
 func TestHandleMetadataSurvivesRecycle(t *testing.T) {
 	e := NewEngine()
-	ev := e.MustSchedule(7, "original", func() {})
+	ev := e.MustSchedule(7, func() {})
 	e.Run()
-	e.MustSchedule(9, "reuser", func() {})
-	if ev.Time() != 7 {
-		t.Errorf("Time() = %v after recycle, want 7", ev.Time())
+	reuser := e.MustSchedule(9, func() {})
+	if ev.Pending() {
+		t.Error("fired handle reports Pending while its record is reused")
 	}
-	if ev.Label() != "original" {
-		t.Errorf("Label() = %q after recycle, want %q", ev.Label(), "original")
+	if !reuser.Pending() {
+		t.Error("reusing handle not Pending")
 	}
 }
 
@@ -91,7 +89,7 @@ func TestPoolReuseSteadyStateAllocs(t *testing.T) {
 			return
 		}
 		remaining--
-		e.MustSchedule(e.Now()+1, "steady", spawn)
+		e.MustSchedule(e.Now()+1, spawn)
 	}
 	// Warm the pool and the heap slice.
 	remaining = 100
@@ -117,10 +115,11 @@ func TestCancelHeapIntegrity(t *testing.T) {
 		e := NewEngine()
 		events := make([]Event, n)
 		var fired []int
+		at := func(i int) Time { return Time((i * 7) % 13) }
 		for i := 0; i < n; i++ {
 			i := i
 			// A mix of distinct and tied times exercises both sift paths.
-			events[i] = e.MustSchedule(Time((i*7)%13), "h", func() { fired = append(fired, i) })
+			events[i] = e.MustSchedule(at(i), func() { fired = append(fired, i) })
 		}
 		if !e.Cancel(events[victim]) {
 			t.Fatalf("victim %d: Cancel returned false", victim)
@@ -140,11 +139,11 @@ func TestCancelHeapIntegrity(t *testing.T) {
 			seen[id] = true
 		}
 		for i := 1; i < len(fired); i++ {
-			a, b := events[fired[i-1]], events[fired[i]]
-			if a.Time() > b.Time() {
-				t.Fatalf("victim %d: dispatch out of time order: %v then %v", victim, a.Time(), b.Time())
+			a, b := at(fired[i-1]), at(fired[i])
+			if a > b {
+				t.Fatalf("victim %d: dispatch out of time order: %v then %v", victim, a, b)
 			}
-			if a.Time() == b.Time() && fired[i-1] > fired[i] {
+			if a == b && fired[i-1] > fired[i] {
 				t.Fatalf("victim %d: tie broken out of scheduling order: %d then %d",
 					victim, fired[i-1], fired[i])
 			}
