@@ -143,31 +143,24 @@ func TestQuoteForMatchesSubmitQuote(t *testing.T) {
 // finalize bit-identically to one that never advances explicitly, including
 // under fault injection (whose events AdvanceTo brings due).
 func TestAdvanceToPreservesOutcomes(t *testing.T) {
-	jobs := sessionWorkload(t, 120, 9)
-	horizon := faults.JobsHorizon(jobs)
-	f := faults.High.Config(3, horizon)
-	for _, spec := range Specs() {
-		cfg := RunConfig{Nodes: 32, Model: spec.Models[0], BasePrice: 1, Faults: &f}
-		plain, err := NewSession(spec.New, cfg)
+	// run submits the jobs to one session advanced to each submission
+	// instant first and to one that is not, and compares the reports.
+	run := func(name string, factory Factory, cfg RunConfig, jobs []*workload.Job) {
+		t.Helper()
+		plain, err := NewSession(factory, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		advanced, err := NewSession(spec.New, cfg)
+		advanced, err := NewSession(factory, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range workload.CloneAll(jobs) {
-			if j.Procs > 32 {
-				continue
-			}
 			if _, err := plain.SubmitQuoteless(j); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, j := range workload.CloneAll(jobs) {
-			if j.Procs > 32 {
-				continue
-			}
 			advanced.AdvanceTo(j.Submit)
 			advanced.AdvanceTo(j.Submit - 1) // past times are a no-op
 			if _, err := advanced.SubmitQuoteless(j); err != nil {
@@ -175,8 +168,29 @@ func TestAdvanceToPreservesOutcomes(t *testing.T) {
 			}
 		}
 		if a, b := plain.Finalize(), advanced.Finalize(); a != b {
-			t.Errorf("%s: AdvanceTo changed the final report:\nplain:    %+v\nadvanced: %+v", spec.Name, a, b)
+			t.Errorf("%s: AdvanceTo changed the final report:\nplain:    %+v\nadvanced: %+v", name, a, b)
 		}
-		advanced.AdvanceTo(horizon) // finalized session: no-op, must not panic
+		advanced.AdvanceTo(math.MaxFloat64) // finalized session: no-op, must not panic
 	}
+
+	var jobs []*workload.Job
+	for _, j := range sessionWorkload(t, 120, 9) {
+		if j.Procs <= 32 {
+			jobs = append(jobs, j)
+		}
+	}
+	f := faults.High.Config(3, faults.JobsHorizon(jobs))
+	for _, spec := range Specs() {
+		run(spec.Name, spec.New, RunConfig{Nodes: 32, Model: spec.Models[0], BasePrice: 1, Faults: &f}, jobs)
+	}
+
+	// A time tie: job 1's completion falls due at job 2's submit instant.
+	// The arrival comes first there, so on one node Libra sees job 1 still
+	// running and cannot fit job 2 by its deadline. Advancing to the
+	// instant must not complete job 1 ahead of the arrival.
+	tie := []*workload.Job{
+		{ID: 1, Submit: 0, Runtime: 10, Estimate: 10, Procs: 1, Deadline: 10, Budget: 1000},
+		{ID: 2, Submit: 10, Runtime: 5, Estimate: 5, Procs: 1, Deadline: 10, Budget: 1000},
+	}
+	run("Libra at a time tie", NewLibra, RunConfig{Nodes: 1, Model: economy.Commodity, BasePrice: 1}, tie)
 }
