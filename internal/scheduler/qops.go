@@ -46,26 +46,38 @@ func (q *qops) Submit(j *workload.Job) {
 }
 
 // feasible checks whether candidate can join the accepted set without
-// breaking anyone's guarantee: it builds the EDF schedule of the queue plus
+// breaking anyone's guarantee: it walks the EDF schedule of the queue plus
 // the candidate over the current availability profile and reports whether
-// every job's projected completion (per estimate) meets its deadline.
+// every job's projected completion (per estimate) meets its deadline. The
+// queue is already in EDF order — every append is followed by schedule's
+// sort — so the candidate is planned at its stable upper bound, the place
+// a stable sort of queue-plus-candidate would put it.
 func (q *qops) feasible(candidate *workload.Job) bool {
-	jobs := make([]*workload.Job, 0, len(q.queue)+1)
-	jobs = append(jobs, q.queue...)
-	jobs = append(jobs, candidate)
-	sortJobs(jobs, edfLess)
 	now := float64(q.ctx.Engine.Now())
 	prof := q.runningProfile(now)
-	for _, j := range jobs {
-		t := prof.earliest(now, j.Estimate, j.Procs)
-		if t+j.Estimate > j.AbsDeadline() {
-			return false
+	placed := false
+	for _, j := range q.queue {
+		if !placed && edfLess(candidate, j) {
+			if !meetsDeadline(&prof, now, candidate) {
+				return false
+			}
+			placed = true
 		}
-		if err := prof.reserve(t, j.Estimate, j.Procs); err != nil {
+		if !meetsDeadline(&prof, now, j) {
 			return false
 		}
 	}
-	return true
+	return placed || meetsDeadline(&prof, now, candidate)
+}
+
+// meetsDeadline reserves j's earliest slot from now on prof and reports
+// whether j, per its estimate, completes by its deadline there.
+func meetsDeadline(prof *profile, now float64, j *workload.Job) bool {
+	t := prof.earliest(now, j.Estimate, j.Procs)
+	if t+j.Estimate > j.AbsDeadline() {
+		return false
+	}
+	return prof.reserve(t, j.Estimate, j.Procs) == nil
 }
 
 // schedule starts every queued job whose planned slot is "now", in EDF
