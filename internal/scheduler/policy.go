@@ -19,10 +19,11 @@ type Context struct {
 	// BasePrice is PBase, in dollars per estimated-runtime second.
 	BasePrice float64
 	// NodeRatings optionally makes the machine heterogeneous: node i runs
-	// at NodeRatings[i] times the reference speed. Honored by the
-	// time-shared (Libra-family) policies; the space-shared policies model
-	// the paper's homogeneous SP2 and ignore it (see the heterogeneity
-	// ablation bench).
+	// at NodeRatings[i] times the reference speed. Both machine
+	// disciplines honor it: the time-shared (Libra-family) machine runs
+	// each job's share at its node's speed, and the space-shared machine
+	// allocates fastest-first and runs a parallel job at its slowest
+	// node's speed (see the heterogeneity ablation bench).
 	NodeRatings []float64
 	// Prices optionally varies the commodity base price over time (the
 	// paper's "variable" pricing, §5.1). Nil means flat BasePrice. Honored

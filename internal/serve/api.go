@@ -98,7 +98,8 @@ type ImportSessionResponse struct {
 }
 
 // MaxJournalBytes bounds an imported journal body. A session journal is a
-// header plus one short line per submission; 64 MiB is ~100k decisions.
+// header plus one line per submission; decision lines run about 150–180
+// bytes, so 64 MiB holds roughly 400k decisions.
 // The control plane reads worker bodies under the same bound, so any body
 // it accepts is one a worker will import.
 const MaxJournalBytes = 64 << 20
@@ -108,24 +109,25 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v with the given status. Encoding failures are
+// WriteJSON writes v with the given status. Encoding failures are
 // unrecoverable mid-response; the status line is already out.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.Encode(v) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
 }
 
-// writeError writes the JSON error envelope.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the JSON error envelope. The control plane answers
+// through the same helpers, so worker and plane errors share one shape.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readJSON strictly decodes the request body into v: unknown fields and
+// ReadJSON strictly decodes the request body into v: unknown fields and
 // trailing garbage are errors, so a mistyped field name fails loudly
 // instead of silently falling back to a default.
-func readJSON(r *http.Request, v any) error {
+func ReadJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

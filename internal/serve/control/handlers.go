@@ -14,40 +14,40 @@ func (p *Plane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	workers := len(p.workers)
 	sessions := len(p.routes)
 	p.mu.Unlock()
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Workers: workers, Sessions: sessions})
+	serve.WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Workers: workers, Sessions: sessions})
 }
 
 func (p *Plane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterWorkerRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := serve.ReadJSON(r, &req); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if err := p.Register(req.Name, req.URL); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, p.Topology())
+	serve.WriteJSON(w, http.StatusCreated, p.Topology())
 }
 
 func (p *Plane) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	if err := p.Deregister(r.PathValue("name")); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p.Topology())
+	serve.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
 func (p *Plane) handleDrainWorker(w http.ResponseWriter, r *http.Request) {
 	if err := p.DrainWorker(r.PathValue("name")); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p.Topology())
+	serve.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
 func (p *Plane) handleTopology(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.Topology())
+	serve.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
 // handleCreate places a new session: the plane allocates the ID, the ring
@@ -56,19 +56,19 @@ func (p *Plane) handleTopology(w http.ResponseWriter, r *http.Request) {
 // plane never re-derives parameter defaults.
 func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.CreateSessionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := serve.ReadJSON(r, &req); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.ID != "" {
-		writeError(w, http.StatusBadRequest, "the control plane assigns session IDs; leave id empty")
+		serve.WriteError(w, http.StatusBadRequest, "the control plane assigns session IDs; leave id empty")
 		return
 	}
 	id := fmt.Sprintf("s-%d", p.nextID.Add(1))
 	req.ID = id
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// A worker dying mid-create is survivable: mark it dead and place the
@@ -76,12 +76,12 @@ func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 	for attempt := 0; attempt < 3; attempt++ {
 		owner := p.ownerFor(id)
 		if owner == "" {
-			writeError(w, http.StatusServiceUnavailable, "no healthy workers")
+			serve.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 			return
 		}
 		url, ok := p.workerURL(owner)
 		if !ok {
-			writeError(w, http.StatusServiceUnavailable, "no healthy workers")
+			serve.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 			return
 		}
 		st, out, err := p.do(http.MethodPost, url+"/v1/sessions", body)
@@ -99,12 +99,12 @@ func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if jst != http.StatusOK {
-			writeError(w, http.StatusBadGateway, "worker %s lost session %s right after create", owner, id)
+			serve.WriteError(w, http.StatusBadGateway, "worker %s lost session %s right after create", owner, id)
 			return
 		}
 		rec, err := obs.ParseSessionJournal(jbody)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "worker %s produced an unparseable journal: %v", owner, err)
+			serve.WriteError(w, http.StatusBadGateway, "worker %s produced an unparseable journal: %v", owner, err)
 			return
 		}
 		shadow := obs.NewSessionJournal(rec.Header)
@@ -116,7 +116,7 @@ func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 		proxy(w, st, out)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "no worker accepted the session")
+	serve.WriteError(w, http.StatusServiceUnavailable, "no worker accepted the session")
 }
 
 // routeOr404 resolves the session route or writes the 404.
@@ -126,7 +126,7 @@ func (p *Plane) routeOr404(w http.ResponseWriter, r *http.Request) *route {
 	rt := p.routes[id]
 	p.mu.Unlock()
 	if rt == nil {
-		writeError(w, http.StatusNotFound, "no session %s", id)
+		serve.WriteError(w, http.StatusNotFound, "no session %s", id)
 	}
 	return rt
 }
@@ -140,20 +140,20 @@ func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serve.SubmitJobRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := serve.ReadJSON(r, &req); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	st, out, err := p.forward(rt, http.MethodPost, r.URL.Path, body)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if st == http.StatusOK {
@@ -198,7 +198,7 @@ func (p *Plane) handleProxy(w http.ResponseWriter, r *http.Request) {
 	defer rt.mu.Unlock()
 	st, out, err := p.forward(rt, r.Method, r.URL.Path, nil)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	proxy(w, st, out)
@@ -216,7 +216,7 @@ func (p *Plane) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	defer rt.mu.Unlock()
 	st, out, err := p.forward(rt, http.MethodPost, r.URL.Path, nil)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if st == http.StatusOK && !rt.finalized {
@@ -239,7 +239,7 @@ func (p *Plane) handleDelete(w http.ResponseWriter, r *http.Request) {
 	defer rt.mu.Unlock()
 	st, out, err := p.forward(rt, http.MethodDelete, r.URL.Path, nil)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if st == http.StatusOK {

@@ -178,7 +178,7 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 		default:
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "server at its concurrency limit; retry shortly")
+			WriteError(w, http.StatusServiceUnavailable, "server at its concurrency limit; retry shortly")
 		}
 	})
 }
@@ -187,7 +187,7 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      "ok",
 		Sessions:    s.store.size(),
 		MaxSessions: s.cfg.MaxSessions,
@@ -268,12 +268,12 @@ func buildDriver(p sessionParams) (*scheduler.Session, obs.SessionHeader, error)
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "worker is draining; no new sessions")
+		WriteError(w, http.StatusServiceUnavailable, "worker is draining; no new sessions")
 		return
 	}
 	var req CreateSessionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	driver, header, err := buildDriver(sessionParams{
@@ -281,7 +281,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Seed: req.Seed, FaultIntensity: req.FaultIntensity, FaultHorizon: req.FaultHorizon,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	header.ID = req.ID
@@ -296,16 +296,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errFull):
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
+			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
-			writeError(w, http.StatusConflict, "session %q already live on this worker", header.ID)
+			WriteError(w, http.StatusConflict, "session %q already live on this worker", header.ID)
 		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
 	s.vars.sessionsCreated.Add(1)
-	writeJSON(w, http.StatusCreated, CreateSessionResponse{
+	WriteJSON(w, http.StatusCreated, CreateSessionResponse{
 		ID: sess.id, Policy: header.Policy, Model: header.Model,
 		Nodes: header.Nodes, BasePrice: header.BasePrice,
 	})
@@ -318,7 +318,7 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) (*session, b
 	id := r.PathValue("id")
 	sess, ok := s.store.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		WriteError(w, http.StatusNotFound, "unknown session %q", id)
 	}
 	return sess, ok
 }
@@ -330,16 +330,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.store.release(sess)
 	var req SubmitJobRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.Submit != 0 && req.Advance != 0 {
-		writeError(w, http.StatusBadRequest, "set submit or advance, not both")
+		WriteError(w, http.StatusBadRequest, "set submit or advance, not both")
 		return
 	}
 	if req.Submit < 0 || req.Advance < 0 {
-		writeError(w, http.StatusBadRequest, "submit and advance must be non-negative")
+		WriteError(w, http.StatusBadRequest, "submit and advance must be non-negative")
 		return
 	}
 	sess.mu.Lock()
@@ -367,7 +367,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if sess.driver.Finalized() {
 			status = http.StatusConflict
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	if j.ID >= sess.nextJob {
@@ -380,7 +380,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Admission:   d.Admission.String(), Quote: d.Quote,
 	})
 	s.vars.jobsSubmitted.Add(1)
-	writeJSON(w, http.StatusOK, SubmitJobResponse{
+	WriteJSON(w, http.StatusOK, SubmitJobResponse{
 		Job: j.ID, Admission: d.Admission.String(), Quote: d.Quote, Now: sess.driver.Now(),
 	})
 }
@@ -411,7 +411,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	defer s.store.release(sess)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.reportResponse(sess, sess.driver.Snapshot()))
+	WriteJSON(w, http.StatusOK, s.reportResponse(sess, sess.driver.Snapshot()))
 }
 
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
@@ -423,7 +423,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.journal.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "journal: %v", err)
+		WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -449,7 +449,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	defer s.store.release(sess)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.reportResponse(sess, finalizeLocked(sess)))
+	WriteJSON(w, http.StatusOK, s.reportResponse(sess, finalizeLocked(sess)))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -466,7 +466,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.vars.sessionsEvicted.Add(1)
 		s.stream.ForgetSession(sess.id)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleImport rebuilds a migrated session from its journal bytes by
@@ -475,12 +475,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "worker is draining; no session imports")
+		WriteError(w, http.StatusServiceUnavailable, "worker is draining; no session imports")
 		return
 	}
 	journal, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJournalBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading journal body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading journal body: %v", err)
 		return
 	}
 	id, err := s.ImportSession(journal)
@@ -489,16 +489,16 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errFull):
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
+			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
-			writeError(w, http.StatusConflict, "%v", err)
+			WriteError(w, http.StatusConflict, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	s.vars.sessionsImported.Add(1)
-	writeJSON(w, http.StatusCreated, ImportSessionResponse{ID: id})
+	WriteJSON(w, http.StatusCreated, ImportSessionResponse{ID: id})
 }
 
 // handleRelease hands a session off for migration: the journal bytes are
@@ -515,7 +515,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	if err := sess.journal.Err(); err != nil {
 		sess.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, "journal: %v", err)
+		WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 		return
 	}
 	journal := append([]byte(nil), sess.journal.Bytes()...)
@@ -523,7 +523,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !s.store.remove(sess.id) {
 		// A concurrent delete or sweep won the race; the caller must not
 		// import a journal this worker no longer owns.
-		writeError(w, http.StatusNotFound, "session %q already gone", sess.id)
+		WriteError(w, http.StatusNotFound, "session %q already gone", sess.id)
 		return
 	}
 	s.vars.sessionsReleased.Add(1)
@@ -538,7 +538,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 // deregisters it afterwards.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(true)
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      "draining",
 		Sessions:    s.store.size(),
 		MaxSessions: s.cfg.MaxSessions,
