@@ -64,11 +64,11 @@ cover:
 # migration determinism contract and floors at 85%; the streaming risk
 # engine carries the live-vs-offline bit-identity contract and floors at
 # 90%; the scheduler holds every policy the suite simulates and floors at
-# 90%.
+# 90%; the event kernel every simulation runs on floors at 95%.
 cover-check:
 	@$(GO) test -cover ./internal/faults ./internal/cluster ./internal/broker ./internal/lint \
 		./internal/serve ./internal/serve/control ./internal/serve/ring ./internal/load \
-		./internal/streamrisk ./internal/scheduler | awk ' \
+		./internal/streamrisk ./internal/scheduler ./internal/sim | awk ' \
 		{ print } \
 		$$2 ~ /internal\/faults$$/        && $$5+0 < 90 { print "FAIL: internal/faults coverage " $$5 " below 90% floor"; bad=1 } \
 		$$2 ~ /internal\/cluster$$/       && $$5+0 < 95 { print "FAIL: internal/cluster coverage " $$5 " below 95% floor"; bad=1 } \
@@ -80,6 +80,7 @@ cover-check:
 		$$2 ~ /internal\/load$$/          && $$5+0 < 85 { print "FAIL: internal/load coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/streamrisk$$/    && $$5+0 < 90 { print "FAIL: internal/streamrisk coverage " $$5 " below 90% floor"; bad=1 } \
 		$$2 ~ /internal\/scheduler$$/     && $$5+0 < 90 { print "FAIL: internal/scheduler coverage " $$5 " below 90% floor"; bad=1 } \
+		$$2 ~ /internal\/sim$$/           && $$5+0 < 95 { print "FAIL: internal/sim coverage " $$5 " below 95% floor"; bad=1 } \
 		END { exit bad }'
 
 # One benchmark iteration per table/figure/ablation: fast sanity pass,

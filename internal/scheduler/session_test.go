@@ -3,11 +3,13 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/economy"
 	"repro/internal/faults"
 	"repro/internal/qos"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -196,5 +198,82 @@ func TestSessionSubmitValidation(t *testing.T) {
 	f := faults.Intensity(faults.High).Config(1, 1000)
 	if _, err := NewSession(NewFCFSBF, RunConfig{Nodes: 0, Model: economy.Commodity, BasePrice: 1, Faults: &f}); err == nil {
 		t.Error("NewSession with invalid config and faults succeeded")
+	}
+}
+
+// orderProbe is a policy that records the order in which the session hands
+// it arrivals, injected faults, and its own completion events.
+type orderProbe struct {
+	ctx *Context
+	// completeAt is when job 1's completion event is due.
+	completeAt float64
+	log        []string
+}
+
+func (p *orderProbe) Name() string { return "order-probe" }
+
+func (p *orderProbe) Submit(j *workload.Job) {
+	p.log = append(p.log, fmt.Sprintf("arrive %d@%g", j.ID, p.ctx.Engine.Now()))
+	if j.ID == 1 {
+		p.ctx.Engine.MustSchedule(sim.Time(p.completeAt), func() {
+			p.log = append(p.log, fmt.Sprintf("complete 1@%g", p.ctx.Engine.Now()))
+		})
+	}
+}
+
+func (p *orderProbe) Drain() {}
+
+func (p *orderProbe) NodeDown(node int) {
+	p.log = append(p.log, fmt.Sprintf("fail %d@%g", node, p.ctx.Engine.Now()))
+}
+
+func (p *orderProbe) NodeUp(node int) {
+	p.log = append(p.log, fmt.Sprintf("repair %d@%g", node, p.ctx.Engine.Now()))
+}
+
+// At one instant a session dispatches the arrival first, then the injected
+// fault, then the completion: a job submitted as a node fails and another
+// job completes sees the machine as it was, and the failure lands before
+// the completion can release the node.
+func TestSessionOrdersArrivalFaultCompletionAtOneInstant(t *testing.T) {
+	fc := faults.Config{Seed: 4, MTBF: 100, MTTR: 10, Horizon: 1000}
+	events, err := faults.Generate(fc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) < 2 || !events[0].Down {
+		t.Fatalf("fault schedule %+v has no leading failure and repair", events)
+	}
+	tf, tr := events[0].Time, events[1].Time
+	probe := &orderProbe{completeAt: tf}
+	s, err := NewSession(func(ctx *Context) Policy {
+		probe.ctx = ctx
+		return probe
+	}, RunConfig{Nodes: 1, Model: economy.Commodity, BasePrice: 1, Faults: &fc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*workload.Job{
+		{ID: 1, Submit: 0, Runtime: tf, Estimate: tf, Procs: 1, Deadline: 2 * tf, Budget: 1e9},
+		{ID: 2, Submit: tf, Runtime: 1, Estimate: 1, Procs: 1, Deadline: 2 * tf, Budget: 1e9},
+	}
+	for _, j := range jobs {
+		if _, err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Finalize()
+	want := []string{
+		"arrive 1@0",
+		fmt.Sprintf("arrive 2@%g", tf),
+		fmt.Sprintf("fail 0@%g", tf),
+		fmt.Sprintf("complete 1@%g", tf),
+		fmt.Sprintf("repair 0@%g", tr),
+	}
+	if len(probe.log) < len(want) {
+		t.Fatalf("dispatch log %q, want it to start %q", probe.log, want)
+	}
+	if got := probe.log[:len(want)]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order\n got %q\nwant %q", got, want)
 	}
 }
